@@ -454,10 +454,10 @@ MemorySystem::access(NodeId core, RefType type, Addr paddr, Tick now)
     ++transitionCount_;
 #ifdef ISIM_CHECK_INVARIANTS
     verify::TransitionAudit audit(*this, core, type, paddr);
-    const AccessOutcome out = accessImpl<false>(core, type, paddr, now);
+    const AccessOutcome out = accessImpl(core, type, paddr, now);
     audit.finish(out);
 #else
-    const AccessOutcome out = accessImpl<false>(core, type, paddr, now);
+    const AccessOutcome out = accessImpl(core, type, paddr, now);
 #endif
     if (ISIM_OBS_ACTIVE(tracer_) && out.cls != MissClass::L1Hit) {
         const Addr line = paddr >> lineBits_;
@@ -482,23 +482,6 @@ MemorySystem::access(NodeId core, RefType type, Addr paddr, Tick now)
     return out;
 }
 
-AccessOutcome
-MemorySystem::accessAtomic(NodeId core, RefType type, Addr paddr)
-{
-    // Same audited state machine as access(); the protocol invariants
-    // hold in either mode, only the timing machinery is absent.
-    ++transitionCount_;
-#ifdef ISIM_CHECK_INVARIANTS
-    verify::TransitionAudit audit(*this, core, type, paddr);
-    const AccessOutcome out = accessImpl<true>(core, type, paddr, 0);
-    audit.finish(out);
-    return out;
-#else
-    return accessImpl<true>(core, type, paddr, 0);
-#endif
-}
-
-template <bool Atomic>
 AccessOutcome
 MemorySystem::accessImpl(NodeId core, RefType type, Addr paddr, Tick now)
 {
@@ -617,25 +600,19 @@ MemorySystem::accessImpl(NodeId core, RefType type, Addr paddr, Tick now)
     out.stall = latencyFor(out.cls, false, out.fromRemoteRac);
     {
         // NoC traffic accounting runs on every directory-path miss,
-        // tracer or not — and in both execution modes: it is pure
-        // counting, and keeping it on the atomic path is what makes
-        // an atomic warm image bit-identical to a timing one.
+        // tracer or not.
         NocLeg legs[3];
         const unsigned nlegs = nocLegsFor(node, home, dr.peer, legs);
         countNocLegs(legs, nlegs);
     }
-    if constexpr (!Atomic) {
-        if (config_.mcOccupancy > 0) {
-            // Every directory-path miss occupies the home's controller.
-            const Cycles queued = mcQueueDelay(home, now);
-            out.stall += queued;
-            nd.stats.mcQueueCycles += queued;
-        }
-        if (ISIM_OBS_ACTIVE(tracer_)) {
-            traceDirectoryMiss(core, node, home, dr.peer, type, out,
-                               line, now);
-        }
+    if (config_.mcOccupancy > 0) {
+        // Every directory-path miss occupies the home's controller.
+        const Cycles queued = mcQueueDelay(home, now);
+        out.stall += queued;
+        nd.stats.mcQueueCycles += queued;
     }
+    if (ISIM_OBS_ACTIVE(tracer_))
+        traceDirectoryMiss(core, node, home, dr.peer, type, out, line, now);
     if (config_.prefetchDegree > 0)
         issuePrefetches(node, line);
     return out;

@@ -43,17 +43,6 @@ parseUintOrDie(const char *flag, const std::string &text)
     return *v;
 }
 
-/** Like execModeFromName but fatal(): flag values must be valid. */
-ExecMode
-parseExecModeOrDie(const char *flag, const std::string &text)
-{
-    const std::optional<ExecMode> m = execModeFromName(text);
-    if (!m)
-        isim_fatal("%s: expected 'atomic' or 'timing', got '%s'", flag,
-                   text.c_str());
-    return *m;
-}
-
 } // namespace
 
 RunOptions
@@ -88,14 +77,6 @@ RunOptions::fromEnv()
         opts.saveCkptDir = dir;
     if (const char *dir = std::getenv("ISIM_FROM_CKPT"))
         opts.fromCkptDir = dir;
-    if (const char *mode = std::getenv("ISIM_WARMUP_MODE")) {
-        if (const auto m = execModeFromName(mode))
-            opts.warmupMode = *m;
-    }
-    if (const char *mode = std::getenv("ISIM_EXEC_MODE")) {
-        if (const auto m = execModeFromName(mode))
-            opts.execMode = *m;
-    }
     if (const char *path = std::getenv("ISIM_PROF_OUT"))
         opts.profOut = path;
     if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_FF")))
@@ -177,10 +158,6 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.saveCkptDir = value;
         } else if (matches(i, "--from-ckpt")) {
             opts.fromCkptDir = value;
-        } else if (matches(i, "--warmup-mode")) {
-            opts.warmupMode = parseExecModeOrDie("--warmup-mode", value);
-        } else if (matches(i, "--exec-mode")) {
-            opts.execMode = parseExecModeOrDie("--exec-mode", value);
         } else if (matches(i, "--prof-out")) {
             opts.profOut = value;
         } else if (matches(i, "--sample-ff")) {
@@ -271,10 +248,6 @@ runOptionsHelp()
            "into DIR after warm-up\n"
            "  --from-ckpt=DIR      restore warm checkpoints from DIR "
            "(skips warm-up)\n"
-           "  --warmup-mode=MODE   warm-up execution mode: atomic or "
-           "timing (default: the figure's)\n"
-           "  --exec-mode=MODE     measurement execution mode "
-           "(default timing; atomic has no event timing)\n"
            "  --prof-out=FILE      write the host self-profile "
            "(prof.json) to FILE\n"
            "  --sample-ff=N        sampled run: fast-forward N txns "
@@ -283,7 +256,7 @@ runOptionsHelp()
            "window (enables sampling)\n"
            "  --sample-windows=N   sampled run: window count "
            "(default: derived from --txns)\n"
-           "  --sample-warm=N      sampled run: atomic-warm txns "
+           "  --sample-warm=N      sampled run: re-warm txns "
            "before each window (default: min(ff, measure))\n"
            "  --sample-mode=MODE   sampled run: window placement, "
            "fixed or random\n"

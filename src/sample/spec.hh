@@ -40,15 +40,16 @@ struct SampleSpec
 {
     /** Fast-forwarded transactions per period (skip + warm tiers). */
     std::uint64_t ff = 0;
-    /** Timing-measured transactions per window (0 = sampling off). */
+    /** Measured transactions per window (0 = sampling off). */
     std::uint64_t measure = 0;
     /** Window count (0 = derive from the measured transaction count). */
     std::uint64_t windows = 0;
     /**
-     * Atomic-warm transactions immediately before each measurement
-     * window, re-warming short-history state (latches, buffer-cache
-     * and L2 recency) after the functional skip. kAutoWarm derives
-     * min(ff, measure); `ff` makes the whole fast-forward atomic.
+     * Re-warm transactions simulated (stats discarded) immediately
+     * before each measurement window, re-warming short-history state
+     * (latches, buffer-cache and L2 recency) after the functional
+     * skip. kAutoWarm derives min(ff, measure); `ff` simulates the
+     * whole fast-forward.
      */
     std::uint64_t warm = kAutoWarm;
     SampleMode mode = SampleMode::Fixed;

@@ -4,7 +4,9 @@
  * continued execution, byte-identical figure output from a warm
  * restore, latency-override restores, and corrupt-input robustness
  * (truncation, bad magic, wrong version, flipped payload bytes must
- * all fail with a clean PanicError, never undefined behaviour).
+ * all fail with a clean PanicError, never undefined behaviour), and
+ * restores of images in the older META layout that carried a warm-up
+ * mode byte.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +84,53 @@ expectSameSnapshot(const stats::Snapshot &a, const stats::Snapshot &b)
     }
 }
 
+/** Little-endian u64 at `at` (the serializer's encoding). */
+std::uint64_t
+readLe64(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = v << 8 | bytes[at + static_cast<std::size_t>(i)];
+    return v;
+}
+
+/**
+ * Re-encode `image` with its META section rewritten: the warm-up end
+ * time, plus the warm-up mode byte images carried before the mode was
+ * retired when `mode` is set. The serializer frames the new section,
+ * so its length and CRC stay valid; every other section is copied
+ * byte for byte.
+ */
+std::vector<std::uint8_t>
+withMetaMode(const std::vector<std::uint8_t> &image,
+             std::optional<std::uint8_t> mode)
+{
+    // Sections are framed as tag (4) + length (8) + CRC (4) + payload
+    // after the magic and the u32 version; CONF comes first, then META.
+    constexpr std::size_t kHeader = 16;
+    const std::size_t confAt = ckpt::magicBytes + 4;
+    const std::uint64_t confLen = readLe64(image, confAt + 4);
+    const std::size_t metaAt = confAt + kHeader + confLen;
+    const std::uint64_t metaLen = readLe64(image, metaAt + 4);
+    const std::size_t restAt = metaAt + kHeader + metaLen;
+
+    ckpt::Serializer s;
+    s.beginSection(ckpt::tagConfig);
+    for (std::size_t i = 0; i < confLen; ++i)
+        s.u8(image[confAt + kHeader + i]);
+    s.endSection();
+    s.beginSection(ckpt::tagMeta);
+    s.u64(readLe64(image, metaAt + kHeader)); // warm-up end time
+    if (mode)
+        s.u8(*mode);
+    s.endSection();
+    std::vector<std::uint8_t> out = s.bytes();
+    out.insert(out.end(),
+               image.begin() + static_cast<std::ptrdiff_t>(restAt),
+               image.end());
+    return out;
+}
+
 TEST(Checkpoint, RoundTripDigestIdentical)
 {
     setQuiet(true);
@@ -90,7 +140,7 @@ TEST(Checkpoint, RoundTripDigestIdentical)
          {CpuModel::InOrder, CpuModel::OutOfOrder}) {
         for (const std::uint64_t seed : {7ull, 1234ull, 0xdeadbeefull}) {
             Machine m(smallConfig(seed, model));
-            m.runWarmup(ExecMode::Timing);
+            m.runWarmup();
             const std::vector<std::uint8_t> image = m.checkpointBytes();
             const std::unique_ptr<Machine> restored =
                 Machine::fromCheckpointBytes(image);
@@ -107,7 +157,7 @@ TEST(Checkpoint, ContinuedExecutionBitIdentical)
     // The core contract: measuring from a restored image must produce
     // exactly the run the cold machine produces after its warm-up.
     Machine cold(smallConfig(42));
-    cold.runWarmup(ExecMode::Timing);
+    cold.runWarmup();
     const std::vector<std::uint8_t> image = cold.checkpointBytes();
     const RunResult a = cold.runMeasurement();
 
@@ -128,12 +178,44 @@ TEST(Checkpoint, ContinuedExecutionBitIdentical)
     expectSameSnapshot(a.stats, b.stats);
 }
 
+TEST(Checkpoint, LegacyMetaModeByteRestoresToTheSameState)
+{
+    setQuiet(true);
+    // Images written while a second (atomic) warm-up mode existed
+    // carry a 9-byte META: warm-up end time plus the mode byte (0 =
+    // timing, 1 = atomic). Both modes built the same warm state, so
+    // such an image must restore and continue exactly like the 8-byte
+    // image written today.
+    Machine m(smallConfig(42));
+    m.runWarmup();
+    const std::vector<std::uint8_t> image = m.checkpointBytes();
+    ASSERT_EQ(withMetaMode(image, std::nullopt), image)
+        << "today's META is the 8-byte form";
+
+    const std::unique_ptr<Machine> current =
+        Machine::fromCheckpointBytes(image);
+    const RunResult want = current->runMeasurement();
+    for (const std::uint8_t mode : {std::uint8_t{0}, std::uint8_t{1}}) {
+        const std::vector<std::uint8_t> legacy = withMetaMode(image, mode);
+        ASSERT_EQ(legacy.size(), image.size() + 1);
+        const std::unique_ptr<Machine> restored =
+            Machine::fromCheckpointBytes(legacy);
+        EXPECT_EQ(restored->stateDigest(), m.stateDigest())
+            << "mode=" << int{mode};
+        EXPECT_EQ(restored->warmupEndTime(), m.warmupEndTime());
+        const RunResult got = restored->runMeasurement();
+        EXPECT_EQ(restored->stateDigest(), current->stateDigest())
+            << "mode=" << int{mode};
+        expectSameSnapshot(want.stats, got.stats);
+    }
+}
+
 TEST(Checkpoint, SaveFileRestoreAndDigest)
 {
     setQuiet(true);
     const std::string path = ::testing::TempDir() + "/isim_ckpt_rt.ckpt";
     Machine m(smallConfig(99, CpuModel::OutOfOrder, 1));
-    m.runWarmup(ExecMode::Timing);
+    m.runWarmup();
     m.saveCheckpoint(path);
     const std::unique_ptr<Machine> restored =
         Machine::fromCheckpoint(path);
@@ -156,7 +238,7 @@ TEST(Checkpoint, LatencyOverrideRestoreMeasuresFaster)
     cfg.level = IntegrationLevel::Base;
     cfg.l2Impl = L2Impl::OffchipDirect;
     Machine m(cfg);
-    m.runWarmup(ExecMode::Timing);
+    m.runWarmup();
     m.saveCheckpoint(path);
     const RunResult base = m.runMeasurement();
 
@@ -214,7 +296,7 @@ TEST(Checkpoint, RunnerRejectsMismatchedConfig)
     const MachineConfig cfg = smallConfig(7, CpuModel::InOrder, 1);
     {
         Machine m(cfg);
-        m.runWarmup(ExecMode::Timing);
+        m.runWarmup();
         m.saveCheckpoint(checkpointPath(dir, cfg.name));
     }
     RunOptions opts;
@@ -233,7 +315,7 @@ class CheckpointCorruption : public ::testing::Test
     {
         setQuiet(true);
         Machine m(smallConfig(3, CpuModel::InOrder, 1));
-        m.runWarmup(ExecMode::Timing);
+        m.runWarmup();
         image_ = m.checkpointBytes();
         ASSERT_GT(image_.size(), 64u);
     }
@@ -285,6 +367,18 @@ TEST_F(CheckpointCorruption, FlippedPayloadBytesFailCrcCleanly)
         bad[at] ^= 0x01;
         EXPECT_THROW(Machine::fromCheckpointBytes(bad), PanicError)
             << "flipped byte " << at;
+    }
+}
+
+TEST_F(CheckpointCorruption, OutOfRangeMetaModeByteFailsCleanly)
+{
+    const ScopedPanicThrow guard;
+    // Only 0 and 1 were ever written; anything else in the legacy
+    // mode byte is corruption the CRC cannot see (it was re-framed).
+    for (const std::uint8_t mode : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+        EXPECT_THROW(Machine::fromCheckpointBytes(withMetaMode(image_, mode)),
+                     PanicError)
+            << "mode=" << int{mode};
     }
 }
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <string>
 
 #include "src/config/options.hh"
 
@@ -227,16 +227,8 @@ TEST(MachineFromConfig, ShippedExampleConfigsParse)
     for (const char *path : {"examples/configs/base_mp.cfg",
                              "examples/configs/full_integration_mp.cfg",
                              "examples/configs/cmp_ooo.cfg"}) {
-        // Tests run from the build tree; look one level up too.
-        std::string p = path;
-        std::ifstream probe(p);
-        if (!probe)
-            p = std::string("../") + path;
-        std::ifstream probe2(p);
-        if (!probe2)
-            GTEST_SKIP() << "example configs not found from cwd";
-        const MachineConfig cfg =
-            machineFromConfig(KvConfig::fromFile(p));
+        const MachineConfig cfg = machineFromConfig(KvConfig::fromFile(
+            std::string(ISIM_SOURCE_DIR) + "/" + path));
         EXPECT_TRUE(validCombination(cfg.level, cfg.l2Impl)) << path;
         EXPECT_GE(cfg.numCpus, 1u);
     }

@@ -5,7 +5,9 @@
  * last epochs, rebase after a stats reset), exporter well-formedness
  * (Chrome JSON parses back, CSV headers), the binary capture round
  * trip, and — end to end — that attaching observability to a machine
- * records events without perturbing the simulated results.
+ * (or profiling the host) records events without perturbing the
+ * simulated results, and that a machine restored from a checkpoint
+ * opens its timeline at the warm boundary.
  */
 
 #include <gtest/gtest.h>
@@ -13,20 +15,25 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
+#include "src/core/experiment.hh"
 #include "src/core/machine.hh"
+#include "src/core/report.hh"
 #include "src/obs/event.hh"
 #include "src/obs/export.hh"
 #include "src/obs/observability.hh"
 #include "src/obs/ring.hh"
 #include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
+#include "src/prof/profiler.hh"
 
 namespace isim {
 namespace {
@@ -364,16 +371,38 @@ observeEverything()
     return cfg;
 }
 
+std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** Bit-exact snapshot equality (NaN quantiles compare by pattern). */
+void
+expectSameSnapshot(const stats::Snapshot &a, const stats::Snapshot &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].u, b[i].u) << a[i].name;
+        EXPECT_EQ(doubleBits(a[i].d), doubleBits(b[i].d)) << a[i].name;
+        EXPECT_EQ(a[i].dist.count, b[i].dist.count) << a[i].name;
+    }
+}
+
 TEST(ObservedMachine, TracingDoesNotPerturbResults)
 {
     setQuiet(true);
     Machine plain(mpConfig());
-    const RunResult a = plain.run(ExecMode::Timing);
+    const RunResult a = plain.run();
 
     Machine observed(mpConfig());
     obs::Observability o(observeEverything());
     observed.attachObservability(&o);
-    const RunResult b = observed.run(ExecMode::Timing);
+    const RunResult b = observed.run();
 
     EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
@@ -395,6 +424,30 @@ TEST(ObservedMachine, TracingDoesNotPerturbResults)
     EXPECT_TRUE(sameLat(a.txnLatP99Us, b.txnLatP99Us));
     EXPECT_DOUBLE_EQ(a.txnLatMeanUs, b.txnLatMeanUs);
     EXPECT_EQ(a.dbConsistent, b.dbConsistent);
+    // ...and every registered stat, bit for bit.
+    expectSameSnapshot(a.stats, b.stats);
+}
+
+TEST(ObservedMachine, ObservingSplitWarmupDoesNotPerturbResults)
+{
+    setQuiet(true);
+    // The same bit-identity, with the warm-up and the measurement run
+    // as separate phases: observing across the runWarmup() /
+    // runMeasurement() boundary measures the same numbers as an
+    // unobserved run.
+    Machine plain(mpConfig(30));
+    plain.runWarmup();
+    const RunResult a = plain.runMeasurement();
+
+    Machine observed(mpConfig(30));
+    obs::Observability o(observeEverything());
+    observed.attachObservability(&o);
+    observed.runWarmup();
+    const RunResult b = observed.runMeasurement();
+
+    EXPECT_EQ(a.transactions, b.transactions);
+    EXPECT_EQ(a.wallTime, b.wallTime);
+    expectSameSnapshot(a.stats, b.stats);
 }
 
 TEST(ObservedMachine, RecordsAllEventFamilies)
@@ -403,7 +456,7 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
     Machine m(mpConfig());
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 
     // The timeline covers the whole run in contiguous epochs.
@@ -455,12 +508,102 @@ TEST(ObservedMachine, UniprocessorHasNoNocTraffic)
     Machine m(cfg);
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 #ifdef ISIM_OBS
     EXPECT_EQ(o.tracer().count(EventKind::NocEnqueue), 0u);
     EXPECT_GT(o.tracer().count(EventKind::MissCompleted), 0u);
 #endif
+}
+
+TEST(ObservedMachine, RestoredRunOpensTimelineAtWarmBoundary)
+{
+    setQuiet(true);
+    // A machine restored from a warm image has no warm-up to observe,
+    // so its observability window opens at the warm boundary instead
+    // of time 0: the first epoch row starts exactly at
+    // warmupEndTime() and — since the boundary generally falls
+    // mid-grid — is a PARTIAL epoch closing on the next grid line.
+    // Coverage from there to the end of the run is contiguous, and
+    // observing the restored run does not perturb it.
+    Machine warm(mpConfig());
+    warm.runWarmup();
+    const std::vector<std::uint8_t> image = warm.checkpointBytes();
+    const RunResult bare = warm.runMeasurement();
+
+    const std::unique_ptr<Machine> m = Machine::fromCheckpointBytes(image);
+    obs::Observability o(observeEverything());
+    m->attachObservability(&o);
+#ifdef ISIM_OBS
+    EXPECT_EQ(o.tracer().ring().pushed(), 0u);
+#endif
+    const std::uint64_t warmEnd = m->warmupEndTime();
+    const RunResult r = m->runMeasurement();
+    expectSameSnapshot(bare.stats, r.stats);
+
+    ASSERT_NE(o.sampler(), nullptr);
+    const auto &rows = o.sampler()->rows();
+    ASSERT_FALSE(rows.empty());
+    const std::uint64_t epoch = o.config().epochTicks;
+    EXPECT_EQ(rows.front().start, warmEnd);
+    if (rows.size() > 1) {
+        // First epoch closes on the grid, not one full epoch later.
+        EXPECT_EQ(rows.front().end % epoch, 0u);
+        EXPECT_LE(rows.front().end - rows.front().start, epoch);
+    }
+    for (std::size_t i = 1; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].start, rows[i - 1].end) << i;
+    EXPECT_EQ(rows.back().end, warmEnd + r.wallTime);
+    // The measured result embeds the same epoch rows.
+    EXPECT_EQ(r.epochs.size(), rows.size());
+
+    std::uint64_t timeline_txns = 0;
+    for (const auto &row : rows)
+        timeline_txns += row.delta.committedTxns;
+    EXPECT_EQ(timeline_txns, r.transactions);
+#ifdef ISIM_OBS
+    EXPECT_GT(o.tracer().count(EventKind::TxnCommit), 0u);
+#endif
+}
+
+TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
+{
+    setQuiet(true);
+    // Host-side observability — runtime-enabled self-profiling AND an
+    // attached trace/timeline bundle — must leave the figure JSON
+    // BYTE-identical to a bare run. Host data goes to prof.json and
+    // the trace files, never into figure outputs.
+    FigureSpec spec;
+    spec.id = "TestFig";
+    spec.title = "obs bit-identity";
+    for (const char *name : {"bar-a", "bar-b"}) {
+        FigureBar bar;
+        bar.config = mpConfig(30);
+        bar.config.name = name;
+        spec.bars.push_back(bar);
+    }
+
+    RunOptions options;
+    options.verbose = false;
+    options.jobs = 2;
+    const FigureResult bare = ExperimentRunner(options).run(spec);
+    const std::string bareJson = figureToJson(bare);
+
+    const bool wasEnabled = prof::enabled();
+    prof::setEnabled(true);
+    RunOptions instrumented = options;
+    instrumented.obs.traceOutPath =
+        testing::TempDir() + "/obs_bitid_trace.json";
+    instrumented.obs.timelineOutPath =
+        testing::TempDir() + "/obs_bitid_timeline.csv";
+    instrumented.obs.epochTicks = 200000;
+    const FigureResult observed =
+        ExperimentRunner(instrumented).run(spec);
+    prof::setEnabled(wasEnabled);
+    std::remove(instrumented.obs.traceOutPath.c_str());
+    std::remove(instrumented.obs.timelineOutPath.c_str());
+
+    EXPECT_EQ(bareJson, figureToJson(observed));
 }
 
 } // namespace

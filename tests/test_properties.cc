@@ -67,7 +67,7 @@ TEST_P(MachineSweep, RunEndsConsistent)
     cfg.workload.warmupTransactions = 16;
 
     Machine m(cfg);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
 
     // (a) Protocol invariants.
     m.memSys().checkInvariants();
@@ -115,19 +115,24 @@ TEST_P(MachineSweep, RunEndsConsistent)
     }
 }
 
+// gtest names each case with a byte dump of its parameter, padding
+// included. A static array has zero-filled padding; temporaries passed
+// to ::testing::Values carry stack garbage into the test IDs.
+const SweepParam kSweep[] = {
+    {1, 256 * kib, 1, false, CpuModel::InOrder},
+    {1, 512 * kib, 4, false, CpuModel::InOrder},
+    {1, 1280 * kib, 4, false, CpuModel::InOrder},
+    {1, 1 * mib, 8, false, CpuModel::OutOfOrder},
+    {2, 512 * kib, 2, false, CpuModel::InOrder},
+    {2, 512 * kib, 2, true, CpuModel::InOrder},
+    {4, 256 * kib, 1, false, CpuModel::InOrder},
+    {4, 512 * kib, 4, true, CpuModel::OutOfOrder},
+    {8, 512 * kib, 2, false, CpuModel::InOrder},
+    {8, 1 * mib, 4, true, CpuModel::InOrder},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, MachineSweep,
-    ::testing::Values(
-        SweepParam{1, 256 * kib, 1, false, CpuModel::InOrder},
-        SweepParam{1, 512 * kib, 4, false, CpuModel::InOrder},
-        SweepParam{1, 1280 * kib, 4, false, CpuModel::InOrder},
-        SweepParam{1, 1 * mib, 8, false, CpuModel::OutOfOrder},
-        SweepParam{2, 512 * kib, 2, false, CpuModel::InOrder},
-        SweepParam{2, 512 * kib, 2, true, CpuModel::InOrder},
-        SweepParam{4, 256 * kib, 1, false, CpuModel::InOrder},
-        SweepParam{4, 512 * kib, 4, true, CpuModel::OutOfOrder},
-        SweepParam{8, 512 * kib, 2, false, CpuModel::InOrder},
-        SweepParam{8, 1 * mib, 4, true, CpuModel::InOrder}),
+    Sweep, MachineSweep, ::testing::ValuesIn(kSweep),
     [](const ::testing::TestParamInfo<SweepParam> &tpi) {
         return tpi.param.name();
     });
@@ -155,7 +160,7 @@ TEST_P(CapacitySweep, BiggerAssociativeCacheMissesLess)
         cfg.workload.blockBufferBytes = 64 * mib;
         cfg.workload.transactions = 120;
         cfg.workload.warmupTransactions = 60;
-        const RunResult r = Machine(cfg).run(ExecMode::Timing);
+        const RunResult r = Machine(cfg).run();
         // Allow a sliver of noise; capacity growth must not increase
         // misses materially.
         EXPECT_LT(r.misses.totalL2Misses(),
