@@ -49,11 +49,7 @@ main(int argc, char **argv)
             cfg.workload.warmupTransactions = txns / 2;
             Machine m(cfg);
             const RunResult r = m.run();
-            const double mpki =
-                1000.0 *
-                static_cast<double>(r.misses.totalL2Misses()) /
-                static_cast<double>(r.cpu.instructions);
-            row.num(mpki, 2);
+            row.num(r.stat("l2.mpki"), 2);
         }
     }
     t.print(std::cout);

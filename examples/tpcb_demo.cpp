@@ -43,7 +43,9 @@ main(int argc, char **argv)
     OltpEngine &engine = machine.engine();
 
     Table t({"Metric", "Value"});
-    t.row().cell("Committed transactions").count(r.transactions);
+    t.row()
+        .cell("Committed transactions")
+        .count(static_cast<std::uint64_t>(r.stat("oltp.txn.committed")));
     t.row().cell("Throughput (tps)").num(r.tps(), 0);
     t.row().cell("Wall time (ms)").num(r.wallTime / 1e6, 2);
     t.row().cell("TPC-B consistency").cell(r.dbConsistent ? "ok"
@@ -59,7 +61,7 @@ main(int argc, char **argv)
     t.row().cell("Context switches")
         .count(machine.sched().contextSwitches());
     t.row().cell("Kernel share of time (%)")
-        .num(100.0 * r.cpu.kernelFraction());
+        .num(100.0 * r.stat("cpu.kernel_frac"));
     t.print(std::cout);
 
     std::cout << "\nSample balances (accounts really moved):\n";

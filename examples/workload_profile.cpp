@@ -47,9 +47,12 @@ main(int argc, char **argv)
                 ++region_misses[idx];
         });
     const RunResult r = machine.run();
+    const auto committed =
+        static_cast<std::uint64_t>(r.stat("oltp.txn.committed"));
 
-    std::cout << "profiled " << r.transactions << " transactions on "
-              << cpus << " cpu(s); " << r.cpu.instructions
+    std::cout << "profiled " << committed << " transactions on " << cpus
+              << " cpu(s); "
+              << static_cast<std::uint64_t>(r.stat("cpu.instructions"))
               << " instructions\n\n";
 
     Table t({"Region", "Policy", "Size(KB)", "Accesses", "Acc/txn",
@@ -67,13 +70,12 @@ main(int argc, char **argv)
             .count(p.size / 1024)
             .count(p.accesses)
             .num(static_cast<double>(p.accesses) /
-                 static_cast<double>(r.transactions ? r.transactions : 1))
+                 static_cast<double>(committed ? committed : 1))
             .count(p.uniqueLines)
             .count(p.uniqueLines * 64 / 1024)
             .count(region_misses[region_idx])
             .num(static_cast<double>(region_misses[region_idx]) /
-                 static_cast<double>(r.transactions ? r.transactions
-                                                    : 1));
+                 static_cast<double>(committed ? committed : 1));
         total_lines += p.uniqueLines;
         ++region_idx;
     }

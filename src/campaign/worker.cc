@@ -22,6 +22,7 @@
 #include "src/base/logging.hh"
 #include "src/campaign/cache.hh"
 #include "src/campaign/protocol.hh"
+#include "src/core/report.hh"
 #include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
 #include "src/stats/manifest.hh"
@@ -148,25 +149,9 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         stats::Manifest m;
         m.figure = bar.figureId;
         m.title = "campaign cell";
-        stats::ManifestBar mb;
-        mb.name = bar.name;
-        mb.meta.present = true;
-        mb.meta.key = bar.key;
-        mb.meta.configDigest = bar.configDigest;
-        mb.meta.seed = bar.seed;
-        mb.meta.simWallMs = static_cast<double>(r.wallTime) / 1e6;
-        // hostWallMs stays unset: the cached bar file must be
+        // r.hostWallMs stays unset: the cached bar file must be
         // byte-stable across resumes (docs/CAMPAIGN.md).
-        if (r.sampling.enabled) {
-            mb.meta.sampleMode = sample::sampleModeName(r.sampling.mode);
-            mb.meta.sampleFf = r.sampling.ff;
-            mb.meta.sampleMeasure = r.sampling.measure;
-            mb.meta.sampleWarm = r.sampling.warm;
-            mb.meta.sampleWindows = r.sampling.windows;
-        }
-        mb.stats = r.stats;
-        mb.sampling = r.sampling;
-        m.bars.push_back(std::move(mb));
+        m.bars.push_back(manifestBar(r, bar.name));
         writeFileAtomic(barStatsPath(out_dir, bar.key),
                         stats::manifestToJson(m));
         if (prof_on) {

@@ -234,24 +234,6 @@ MemorySystem::rac(NodeId node) const
     return *nodes_[node]->rac;
 }
 
-RacCounters
-MemorySystem::aggregateRacCounters() const
-{
-    RacCounters total;
-    for (const auto &node : nodes_) {
-        if (!node->rac)
-            continue;
-        const RacCounters &c = node->rac->counters();
-        total.lookups += c.lookups;
-        total.hits += c.hits;
-        total.allocations += c.allocations;
-        total.dirtyInsertions += c.dirtyInsertions;
-        total.dirtyServicesToRemote += c.dirtyServicesToRemote;
-        total.writebacksToHome += c.writebacksToHome;
-    }
-    return total;
-}
-
 void
 MemorySystem::resetStats()
 {

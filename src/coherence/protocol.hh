@@ -232,7 +232,6 @@ class MemorySystem
         return config_.victimBufferEntries > 0;
     }
     const Rac &rac(NodeId node) const;
-    RacCounters aggregateRacCounters() const;
     const Directory &directory() const { return dir_; }
 
     /**

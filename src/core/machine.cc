@@ -19,6 +19,16 @@ MachineConfig::label() const
     return name;
 }
 
+double
+RunResult::stat(const std::string &path) const
+{
+    const stats::Sample *s = stats::findSample(stats, path);
+    if (s == nullptr)
+        isim_panic("run '%s' has no stat '%s'", name.c_str(),
+                   path.c_str());
+    return s->number();
+}
+
 Machine::~Machine() = default;
 
 Machine::Machine(const MachineConfig &config) : config_(config)
@@ -241,9 +251,15 @@ Machine::buildRegistry()
     if (memSys_->hasRac()) {
         registry_.formula("rac.hit_rate",
                           "machine-wide RAC demand hit rate", "ratio",
-                          [this] {
-                              return memSys_->aggregateRacCounters()
-                                  .hitRate();
+                          [this, nodes] {
+                              RacCounters total;
+                              for (NodeId n = 0; n < nodes; ++n) {
+                                  const RacCounters &c =
+                                      memSys_->rac(n).counters();
+                                  total.lookups += c.lookups;
+                                  total.hits += c.hits;
+                              }
+                              return total.hitRate();
                           });
     }
 
@@ -278,55 +294,8 @@ Machine::attachObservability(obs::Observability *o)
     obs::Tracer *tracer = o != nullptr ? &o->tracer() : nullptr;
     memSys_->setTracer(tracer);
     engine_->setTracer(tracer);
-    if (o == nullptr)
-        return;
-    o->setCounterSource([this] {
-        obs::CounterSnapshot s;
-        CpuStats cpu;
-        for (const auto &core : cpus_)
-            cpu += core->stats();
-        s.committedTxns = engine_->committedTransactions();
-        s.instructions = cpu.instructions;
-        s.busy = cpu.busy;
-        s.idle = cpu.idle;
-        s.kernelTime = cpu.kernelTime;
-        const NodeProtocolStats m = memSys_->aggregateStats();
-        s.missInstrLocal = m.instrLocal;
-        s.missInstrRemote = m.instrRemote;
-        s.missDataLocal = m.dataLocal;
-        s.missDataRemoteClean = m.dataRemoteClean;
-        s.missDataRemoteDirty = m.dataRemoteDirty;
-        s.latchAcquires = engine_->latches().acquires();
-        s.latchContended = engine_->latches().contended();
-        s.ctxSwitches = obs_->tracer().count(obs::EventKind::CtxSwitch);
-        // NoC load comes from the always-on protocol counters, so
-        // epoch rows report it even when event tracing is off
-        // (--stats-epoch without --trace-*).
-        s.nocMsgs = memSys_->nocStats().messages;
-        s.nocBytes = memSys_->nocStats().bytes;
-        return s;
-    });
-}
-
-RunResult
-Machine::snapshot() const
-{
-    RunResult r;
-    r.name = config_.name;
-    for (const auto &core : cpus_)
-        r.cpu += core->stats();
-    r.misses = memSys_->aggregateStats();
-    if (memSys_->hasRac())
-        r.rac = memSys_->aggregateRacCounters();
-    r.transactions = engine_->measuredCommitted();
-    r.dbConsistent = engine_->db().checkConsistency();
-    const Histogram &lat = engine_->txnLatency();
-    r.txnLatMeanUs = lat.mean();
-    r.txnLatP50Us = lat.quantile(0.50);
-    r.txnLatP95Us = lat.quantile(0.95);
-    r.txnLatP99Us = lat.quantile(0.99);
-    r.stats = registry_.snapshot();
-    return r;
+    if (o != nullptr)
+        o->bindCounters(registry_);
 }
 
 void
@@ -381,8 +350,11 @@ Machine::runMeasurement()
     if (obs_ != nullptr)
         obs_->endRun(sim_->wallTime());
 
-    RunResult r = snapshot();
+    RunResult r;
+    r.name = config_.name;
     r.wallTime = sim_->wallTime() - warmEnd_;
+    r.dbConsistent = engine_->db().checkConsistency();
+    r.stats = registry_.snapshot();
     if (obs_ != nullptr && obs_->sampler() != nullptr)
         r.epochs = obs_->sampler()->rows();
     return r;

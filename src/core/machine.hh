@@ -85,24 +85,17 @@ struct MachineConfig
     std::string label() const;
 };
 
-/** Aggregated outcome of one measured run. */
+/**
+ * Outcome of one measured run. Every counter lives in `stats`, the
+ * registry snapshot of the measurement window; read it by path with
+ * stat().
+ */
 struct RunResult
 {
     std::string name;
-    CpuStats cpu;             //!< summed over CPUs (measurement window)
-    NodeProtocolStats misses; //!< summed over nodes
-    RacCounters rac;
-    std::uint64_t transactions = 0;
     Tick wallTime = 0; //!< elapsed simulated time of the window
+    /** TPC-B consistency check at run end (not a counter). */
     bool dbConsistent = false;
-
-    // Transaction commit latency over the window (microseconds).
-    // Quantiles are NaN when unresolvable (no samples, or the mass
-    // sits in the histogram's overflow bucket).
-    double txnLatMeanUs = 0.0;
-    double txnLatP50Us = 0.0;
-    double txnLatP95Us = 0.0;
-    double txnLatP99Us = 0.0;
 
     /** Full registry snapshot (every named stat, sorted by name). */
     stats::Snapshot stats;
@@ -130,13 +123,19 @@ struct RunResult
     // must never leak into default manifests (docs/PROFILING.md).
     double hostWallMs = -1.0;
 
-    /** The figures' y-axis: total non-idle execution time. */
-    Tick execTime() const { return cpu.nonIdle(); }
+    /**
+     * The value of the stat registered as `path` (distributions
+     * report their count). Panics when the run has no such stat: a
+     * missing path is a wiring bug.
+     */
+    double stat(const std::string &path) const;
+
+    /** Committed transactions per simulated second. */
     double tps() const
     {
-        return wallTime
-                   ? static_cast<double>(transactions) * 1e9 / wallTime
-                   : 0.0;
+        return wallTime ? stat("oltp.txn.committed") * 1e9 /
+                              static_cast<double>(wallTime)
+                        : 0.0;
     }
 };
 
@@ -220,17 +219,14 @@ class Machine
      */
     void resetStats();
 
-    /** Collect current aggregated statistics. */
-    RunResult snapshot() const;
-
     /** The machine's metrics registry (every counter, by name). */
     stats::Registry &statsRegistry() { return registry_; }
     const stats::Registry &statsRegistry() const { return registry_; }
 
     /**
      * Attach (or with nullptr, detach) an observability bundle: wires
-     * the tracer into the memory system and the engine and installs
-     * the counter source the timeline sampler snapshots. The bundle
+     * the tracer into the memory system and the engine and binds the
+     * timeline sampler's columns to this machine's registry. The bundle
      * must outlive the machine's run() calls.
      */
     void attachObservability(obs::Observability *o);

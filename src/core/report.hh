@@ -41,6 +41,14 @@ std::string summaryLine(const FigureResult &result);
 std::string figureToJson(const FigureResult &result);
 
 /**
+ * One stats-manifest bar named `name` for a run: its stats, sampling
+ * block and epoch rows, plus — when the run carries a result key —
+ * the META block (key, config digest, seed, simulated wall, the host
+ * wall when measured, and the sampling-schedule echo).
+ */
+stats::ManifestBar manifestBar(const RunResult &r, const std::string &name);
+
+/**
  * The schema-versioned stats manifest for one figure: every registered
  * stat of every bar (plus per-epoch rows when sampled), written next
  * to the figure JSON as `<stem>.stats.json`. See stats/manifest.hh for

@@ -161,14 +161,28 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
     writeChromeTrace(os, events, tracer.ring().dropped());
 }
 
-const char *
+namespace {
+
+/** The CSV's derived rate columns follow these counter columns. */
+constexpr std::size_t kTpsAfter = epochColumn("oltp.txn.committed");
+constexpr std::size_t kGbpsOf = epochColumn("noc.bytes");
+
+} // namespace
+
+const std::string &
 timelineCsvHeader()
 {
-    return "epoch,start_ns,end_ns,commits,tps,instructions,busy_ns,"
-           "idle_ns,kernel_ns,miss_instr_local,miss_instr_remote,"
-           "miss_data_local,miss_data_2hop,miss_data_3hop,"
-           "latch_acquires,latch_contended,ctx_switches,noc_msgs,"
-           "noc_bytes,noc_gbps";
+    static const std::string header = [] {
+        std::string h = "epoch,start_ns,end_ns";
+        for (std::size_t i = 0; i < kNumEpochColumns; ++i) {
+            h += ',';
+            h += kEpochColumns[i].csvHeader;
+            if (i == kTpsAfter)
+                h += ",tps";
+        }
+        return h + ",noc_gbps";
+    }();
+    return header;
 }
 
 void
@@ -177,22 +191,20 @@ writeTimelineCsv(std::ostream &os, const TimelineSampler &sampler)
     os << timelineCsvHeader() << "\n";
     char buf[64];
     for (const EpochRow &row : sampler.rows()) {
-        const CounterSnapshot &d = row.delta;
+        os << row.epoch << ',' << row.start << ',' << row.end;
+        for (std::size_t i = 0; i < kNumEpochColumns; ++i) {
+            os << ',' << row.delta[i];
+            if (i == kTpsAfter) {
+                std::snprintf(buf, sizeof(buf), "%.3f", row.tps());
+                os << ',' << buf;
+            }
+        }
         const double dur = static_cast<double>(row.end - row.start);
         const double gbps =
-            dur > 0 ? static_cast<double>(d.nocBytes) / dur : 0.0;
-        os << row.epoch << ',' << row.start << ',' << row.end << ','
-           << d.committedTxns << ',';
-        std::snprintf(buf, sizeof(buf), "%.3f", row.tps());
-        os << buf << ',' << d.instructions << ',' << d.busy << ','
-           << d.idle << ',' << d.kernelTime << ',' << d.missInstrLocal
-           << ',' << d.missInstrRemote << ',' << d.missDataLocal << ','
-           << d.missDataRemoteClean << ',' << d.missDataRemoteDirty
-           << ',' << d.latchAcquires << ',' << d.latchContended << ','
-           << d.ctxSwitches << ',' << d.nocMsgs << ',' << d.nocBytes
-           << ',';
+            dur > 0 ? static_cast<double>(row.delta[kGbpsOf]) / dur
+                    : 0.0;
         std::snprintf(buf, sizeof(buf), "%.6f", gbps);
-        os << buf << "\n";
+        os << ',' << buf << "\n";
     }
 }
 

@@ -32,8 +32,12 @@ void writeChromeTrace(std::ostream &os,
 /** Convenience: export everything retained in a tracer's ring. */
 void writeChromeTrace(std::ostream &os, const Tracer &tracer);
 
-/** Header line of the timeline CSV (no trailing newline). */
-const char *timelineCsvHeader();
+/**
+ * Header line of the timeline CSV (no trailing newline): one column
+ * per kEpochColumns entry, plus the derived "tps" after the commit
+ * count and "noc_gbps" at the end.
+ */
+const std::string &timelineCsvHeader();
 
 /** Write the sampler's rows as CSV (header + one line per epoch). */
 void writeTimelineCsv(std::ostream &os, const TimelineSampler &sampler);

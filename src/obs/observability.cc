@@ -7,9 +7,11 @@
 
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "src/base/logging.hh"
 #include "src/obs/export.hh"
+#include "src/stats/registry.hh"
 
 namespace isim::obs {
 
@@ -19,12 +21,28 @@ Observability::Observability(const ObsConfig &config)
 }
 
 void
-Observability::setCounterSource(TimelineSampler::Source source)
+Observability::bindCounters(const stats::Registry &registry)
 {
-    if (config_.wantsSampler()) {
-        sampler_ = std::make_unique<TimelineSampler>(
-            config_.epochTicks, std::move(source));
+    if (!config_.wantsSampler())
+        return;
+    std::vector<stats::Registry::CounterFn> getters;
+    getters.reserve(kNumEpochColumns);
+    for (const EpochColumn &col : kEpochColumns) {
+        if (col.statPath != nullptr) {
+            getters.push_back(registry.counterGetter(col.statPath));
+        } else {
+            getters.push_back(
+                [this] { return tracer_.count(EventKind::CtxSwitch); });
+        }
     }
+    sampler_ = std::make_unique<TimelineSampler>(
+        config_.epochTicks, [getters = std::move(getters)] {
+            std::vector<std::uint64_t> values;
+            values.reserve(getters.size());
+            for (const auto &get : getters)
+                values.push_back(get());
+            return values;
+        });
 }
 
 void

@@ -16,6 +16,10 @@
 #include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
 
+namespace isim::stats {
+class Registry;
+}
+
 namespace isim::obs {
 
 /** What to capture and where to write it. */
@@ -55,8 +59,14 @@ class Observability
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
 
-    /** Install the counter source the sampler snapshots. */
-    void setCounterSource(TimelineSampler::Source source);
+    /**
+     * Build the epoch sampler (when one is wanted) over `registry`:
+     * each kEpochColumns path resolves here, once, to its counter
+     * getter — fatal on an unknown path or a non-counter stat. The
+     * getters read the components behind the registry, which must
+     * outlive the run.
+     */
+    void bindCounters(const stats::Registry &registry);
 
     /** Begin the run: enable tracing, start the sampler at `now`. */
     void beginRun(Tick now);

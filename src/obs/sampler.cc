@@ -21,30 +21,6 @@ satSub(std::uint64_t a, std::uint64_t b)
 
 } // namespace
 
-CounterSnapshot
-CounterSnapshot::since(const CounterSnapshot &base) const
-{
-    CounterSnapshot d;
-    d.committedTxns = satSub(committedTxns, base.committedTxns);
-    d.instructions = satSub(instructions, base.instructions);
-    d.busy = satSub(busy, base.busy);
-    d.idle = satSub(idle, base.idle);
-    d.kernelTime = satSub(kernelTime, base.kernelTime);
-    d.missInstrLocal = satSub(missInstrLocal, base.missInstrLocal);
-    d.missInstrRemote = satSub(missInstrRemote, base.missInstrRemote);
-    d.missDataLocal = satSub(missDataLocal, base.missDataLocal);
-    d.missDataRemoteClean =
-        satSub(missDataRemoteClean, base.missDataRemoteClean);
-    d.missDataRemoteDirty =
-        satSub(missDataRemoteDirty, base.missDataRemoteDirty);
-    d.latchAcquires = satSub(latchAcquires, base.latchAcquires);
-    d.latchContended = satSub(latchContended, base.latchContended);
-    d.ctxSwitches = satSub(ctxSwitches, base.ctxSwitches);
-    d.nocMsgs = satSub(nocMsgs, base.nocMsgs);
-    d.nocBytes = satSub(nocBytes, base.nocBytes);
-    return d;
-}
-
 TimelineSampler::TimelineSampler(Tick epoch_ticks, Source source)
     : epochTicks_(epoch_ticks), source_(std::move(source))
 {
@@ -67,14 +43,21 @@ TimelineSampler::start(Tick now)
 void
 TimelineSampler::emitRow(Tick end)
 {
-    const CounterSnapshot cur = source_();
+    std::vector<std::uint64_t> cur = source_();
+    isim_assert(cur.size() == prev_.size(),
+                "counter source changed width mid-run");
     EpochRow row;
     row.epoch = cur_ / epochTicks_;
     row.start = cur_;
     row.end = end;
-    row.delta = cur.since(prev_);
-    rows_.push_back(row);
-    prev_ = cur;
+    // Saturating: a counter that went *backwards* (a stats reset the
+    // sampler was not told about) contributes its post-reset value
+    // instead of an underflowed garbage delta.
+    row.delta.reserve(cur.size());
+    for (std::size_t i = 0; i < cur.size(); ++i)
+        row.delta.push_back(satSub(cur[i], prev_[i]));
+    rows_.push_back(std::move(row));
+    prev_ = std::move(cur);
     cur_ = end;
 }
 

@@ -5,6 +5,11 @@
  * the end-of-run aggregate breakdowns (miss mix, TPS, latch traffic,
  * kernel share) into a plottable time series.
  *
+ * The columns are the stats registry's own counters, named once in
+ * kEpochColumns; the timeline CSV and the manifest epoch rows both
+ * render from that table. The one column no registry stat holds is
+ * ctx_switches, which counts the tracer's context-switch events.
+ *
  * Epoch boundaries are anchored to the absolute tick grid (multiples
  * of the epoch length), so the first epoch of a run that starts
  * mid-grid and the last epoch at run end are *partial* — their rows
@@ -15,49 +20,63 @@
 #ifndef ISIM_OBS_SAMPLER_HH
 #define ISIM_OBS_SAMPLER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
+#include "src/base/logging.hh"
 #include "src/base/types.hh"
 
 namespace isim::obs {
 
-/** Counters sampled at every epoch boundary (machine-wide sums). */
-struct CounterSnapshot
+/** One timeline column: a counter whose per-epoch delta is reported. */
+struct EpochColumn
 {
-    std::uint64_t committedTxns = 0;
-    std::uint64_t instructions = 0;
-    Tick busy = 0;
-    Tick idle = 0;
-    Tick kernelTime = 0;
-
-    // L2 misses by the paper's classes.
-    std::uint64_t missInstrLocal = 0;
-    std::uint64_t missInstrRemote = 0;
-    std::uint64_t missDataLocal = 0;
-    std::uint64_t missDataRemoteClean = 0;
-    std::uint64_t missDataRemoteDirty = 0;
-
-    std::uint64_t latchAcquires = 0;
-    std::uint64_t latchContended = 0;
-    std::uint64_t ctxSwitches = 0;
-    std::uint64_t nocMsgs = 0;
-    std::uint64_t nocBytes = 0;
-
-    std::uint64_t totalMisses() const
-    {
-        return missInstrLocal + missInstrRemote + missDataLocal +
-               missDataRemoteClean + missDataRemoteDirty;
-    }
-
-    /**
-     * Per-field delta since `base`, saturating at zero: a counter
-     * that went *backwards* (the warm-up stats reset) contributes its
-     * post-reset value instead of an underflowed garbage delta.
-     */
-    CounterSnapshot since(const CounterSnapshot &base) const;
+    const char *csvHeader;   //!< timeline CSV column
+    const char *manifestKey; //!< key in a manifest epoch row
+    /** Registry counter path; nullptr = the tracer's ctx switches. */
+    const char *statPath;
 };
+
+/** The timeline's counter columns, in CSV and manifest order. */
+inline constexpr EpochColumn kEpochColumns[] = {
+    {"commits", "committed_txns", "oltp.txn.committed"},
+    {"instructions", "instructions", "cpu.instructions"},
+    {"busy_ns", "busy", "cpu.busy"},
+    {"idle_ns", "idle", "cpu.idle"},
+    {"kernel_ns", "kernel_time", "cpu.kernel_time"},
+    {"miss_instr_local", "miss_instr_local", "l2.miss.instr_local"},
+    {"miss_instr_remote", "miss_instr_remote", "l2.miss.instr_remote"},
+    {"miss_data_local", "miss_data_local", "l2.miss.local"},
+    {"miss_data_2hop", "miss_data_remote_clean", "l2.miss.remote_clean"},
+    {"miss_data_3hop", "miss_data_remote_dirty", "l2.miss.remote_dirty"},
+    {"latch_acquires", "latch_acquires", "oltp.latch.acquires"},
+    {"latch_contended", "latch_contended", "oltp.latch.contended"},
+    {"ctx_switches", "ctx_switches", nullptr},
+    {"noc_msgs", "noc_msgs", "noc.messages"},
+    {"noc_bytes", "noc_bytes", "noc.bytes"},
+};
+
+inline constexpr std::size_t kNumEpochColumns = std::size(kEpochColumns);
+
+/**
+ * Index of the column reading `stat_path`. Fatal when absent; in a
+ * constant expression an absent path is a compile error.
+ */
+constexpr std::size_t
+epochColumn(std::string_view stat_path)
+{
+    for (std::size_t i = 0; i < kNumEpochColumns; ++i) {
+        const char *path = kEpochColumns[i].statPath;
+        if (path != nullptr && stat_path == path)
+            return i;
+    }
+    isim_fatal("no timeline column reads stat '%.*s'",
+               static_cast<int>(stat_path.size()), stat_path.data());
+}
 
 /** One row of the timeline: counter deltas over [start, end). */
 struct EpochRow
@@ -65,12 +84,13 @@ struct EpochRow
     std::uint64_t epoch = 0; //!< index on the absolute epoch grid
     Tick start = 0;
     Tick end = 0;
-    CounterSnapshot delta;
+    /** Per-column deltas, indexed like kEpochColumns. */
+    std::vector<std::uint64_t> delta;
 
     double tps() const
     {
-        return end > start ? static_cast<double>(delta.committedTxns) *
-                                 1e9 /
+        constexpr std::size_t commits = epochColumn("oltp.txn.committed");
+        return end > start ? static_cast<double>(delta[commits]) * 1e9 /
                                  static_cast<double>(end - start)
                            : 0.0;
     }
@@ -80,7 +100,8 @@ struct EpochRow
 class TimelineSampler
 {
   public:
-    using Source = std::function<CounterSnapshot()>;
+    /** Current counter values, one per column. */
+    using Source = std::function<std::vector<std::uint64_t>()>;
 
     TimelineSampler(Tick epoch_ticks, Source source);
 
@@ -113,7 +134,7 @@ class TimelineSampler
     Tick epochTicks_;
     Source source_;
     std::vector<EpochRow> rows_;
-    CounterSnapshot prev_;
+    std::vector<std::uint64_t> prev_;
     Tick cur_ = 0;   //!< start of the open epoch
     Tick next_ = 0;  //!< next boundary on the absolute grid
     bool started_ = false;

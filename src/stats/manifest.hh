@@ -59,16 +59,13 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/sampler.hh"
 #include "src/sample/report.hh"
 #include "src/stats/registry.hh"
 
 namespace isim {
 
 class JsonValue;
-
-namespace obs {
-struct EpochRow;
-}
 
 namespace stats {
 

@@ -202,6 +202,20 @@ Registry::resetAll()
         hook();
 }
 
+Registry::CounterFn
+Registry::counterGetter(const std::string &name) const
+{
+    for (const auto &e : entries_) {
+        if (e.name != name)
+            continue;
+        if (e.kind != Kind::Counter)
+            isim_fatal("stat '%s' is a %s, not a counter", name.c_str(),
+                       kindName(e.kind));
+        return e.getCounter;
+    }
+    isim_fatal("no stat named '%s'", name.c_str());
+}
+
 Snapshot
 Registry::snapshot() const
 {

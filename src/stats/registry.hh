@@ -134,6 +134,13 @@ class Registry
 
     std::size_t size() const { return entries_.size(); }
 
+    /**
+     * The live getter of the Counter registered as `name`, for
+     * callers that read one counter repeatedly (the epoch timeline).
+     * Fatal when no stat has that name or it is not a Counter.
+     */
+    CounterFn counterGetter(const std::string &name) const;
+
     /** Evaluate every stat; the result is sorted by name. */
     Snapshot snapshot() const;
 

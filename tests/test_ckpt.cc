@@ -165,16 +165,9 @@ TEST(Checkpoint, ContinuedExecutionBitIdentical)
         Machine::fromCheckpointBytes(image);
     const RunResult b = warm->runMeasurement();
 
-    EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
-    EXPECT_EQ(a.cpu.busy, b.cpu.busy);
-    EXPECT_EQ(a.cpu.idle, b.cpu.idle);
-    EXPECT_EQ(a.cpu.kernelTime, b.cpu.kernelTime);
-    EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
-    EXPECT_EQ(a.misses.totalL2Misses(), b.misses.totalL2Misses());
-    EXPECT_EQ(a.misses.dataRemoteDirty, b.misses.dataRemoteDirty);
-    EXPECT_EQ(a.misses.invalidationsSent, b.misses.invalidationsSent);
     EXPECT_EQ(a.dbConsistent, b.dbConsistent);
+    // Every counter, bit for bit.
     expectSameSnapshot(a.stats, b.stats);
 }
 
@@ -246,8 +239,9 @@ TEST(Checkpoint, LatencyOverrideRestoreMeasuresFaster)
         path, IntegrationLevel::FullInt, L2Impl::OnchipSram);
     EXPECT_EQ(full->config().level, IntegrationLevel::FullInt);
     const RunResult fast = full->runMeasurement();
-    EXPECT_EQ(base.transactions, fast.transactions);
-    EXPECT_LT(fast.execTime(), base.execTime());
+    EXPECT_EQ(base.stat("oltp.txn.committed"),
+              fast.stat("oltp.txn.committed"));
+    EXPECT_LT(fast.stat("cpu.exec_time"), base.stat("cpu.exec_time"));
     std::filesystem::remove(path);
 }
 

@@ -13,6 +13,7 @@
 #include "src/base/random.hh"
 #include "src/coherence/protocol.hh"
 #include "src/core/machine.hh"
+#include "tests/run_stats.hh"
 
 namespace isim {
 namespace {
@@ -168,9 +169,9 @@ TEST(Cmp, MachineRunsConsistent)
 
     Machine m(cfg);
     const RunResult r = m.run();
-    EXPECT_EQ(r.transactions, 60u);
+    EXPECT_EQ(r.stat("oltp.txn.committed"), 60u);
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_GT(r.misses.intraNodeInvals, 0u);
+    EXPECT_GT(nodeSum(r, "l2.intra_node_invals"), 0u);
     m.memSys().checkInvariants();
 }
 
@@ -195,9 +196,9 @@ TEST(Cmp, SharingL2ReducesOffChipCommunication)
     const RunResult smp = run(1); // 4 chips x 1 core
     const RunResult cmp = run(4); // 1 chip  x 4 cores
     // On one chip there is nobody remote to communicate with.
-    EXPECT_GT(smp.misses.dataRemoteDirty, 0u);
-    EXPECT_EQ(cmp.misses.dataRemoteDirty, 0u);
-    EXPECT_GT(smp.cpu.remStall(), cmp.cpu.remStall());
+    EXPECT_GT(smp.stat("l2.miss.remote_dirty"), 0u);
+    EXPECT_EQ(cmp.stat("l2.miss.remote_dirty"), 0u);
+    EXPECT_GT(remStall(smp), remStall(cmp));
 }
 
 TEST(CmpDeathTest, IndivisibleCoreCountIsFatal)

@@ -8,6 +8,7 @@
 #include "src/base/logging.hh"
 #include "src/coherence/protocol.hh"
 #include "src/core/machine.hh"
+#include "tests/run_stats.hh"
 
 namespace isim {
 namespace {
@@ -113,10 +114,11 @@ TEST(McContention, MachineFeelsTheQueueing)
     const RunResult none = run(0);
     const RunResult some = run(40);
     const RunResult heavy = run(400);
-    EXPECT_EQ(none.misses.mcQueueCycles, 0u);
-    EXPECT_GT(some.misses.mcQueueCycles, 0u);
-    EXPECT_GT(heavy.misses.mcQueueCycles, some.misses.mcQueueCycles);
-    EXPECT_GT(heavy.execTime(), none.execTime());
+    EXPECT_EQ(nodeSum(none, "l2.mc_queue_cycles"), 0u);
+    EXPECT_GT(nodeSum(some, "l2.mc_queue_cycles"), 0u);
+    EXPECT_GT(nodeSum(heavy, "l2.mc_queue_cycles"),
+              nodeSum(some, "l2.mc_queue_cycles"));
+    EXPECT_GT(heavy.stat("cpu.exec_time"), none.stat("cpu.exec_time"));
 }
 
 } // namespace

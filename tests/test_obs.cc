@@ -6,18 +6,19 @@
  * (Chrome JSON parses back, CSV headers), the binary capture round
  * trip, and — end to end — that attaching observability to a machine
  * (or profiling the host) records events without perturbing the
- * simulated results, and that a machine restored from a checkpoint
- * opens its timeline at the warm boundary.
+ * simulated results, that a machine restored from a checkpoint
+ * opens its timeline at the warm boundary, and that its epoch rows
+ * sum to the registry counters the manifest reports.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,7 +39,6 @@
 namespace isim {
 namespace {
 
-using obs::CounterSnapshot;
 using obs::EventKind;
 using obs::EventRing;
 using obs::TimelineSampler;
@@ -110,46 +110,54 @@ TEST(EventRing, ClearResetsAccounting)
     EXPECT_EQ(ringArgs(ring), (std::vector<std::uint32_t>{7}));
 }
 
+/** A full-width counter row, as the sampler's source returns it. */
+using Counters = std::vector<std::uint64_t>;
+
+constexpr std::size_t kCommits = obs::epochColumn("oltp.txn.committed");
+constexpr std::size_t kInstructions =
+    obs::epochColumn("cpu.instructions");
+constexpr std::size_t kBusy = obs::epochColumn("cpu.busy");
+
 TEST(Sampler, GridAnchoredPartialEpochs)
 {
-    CounterSnapshot counters;
+    Counters counters(obs::kNumEpochColumns);
     TimelineSampler s(100, [&] { return counters; });
 
-    counters.committedTxns = 10;
+    counters[kCommits] = 10;
     s.start(250); // mid-grid: first epoch is partial [250, 300)
     EXPECT_FALSE(s.due(299));
 
-    counters.committedTxns = 16;
+    counters[kCommits] = 16;
     EXPECT_TRUE(s.due(300));
     s.advance(455);
     ASSERT_EQ(s.rows().size(), 2u);
     EXPECT_EQ(s.rows()[0].epoch, 2u);
     EXPECT_EQ(s.rows()[0].start, 250u);
     EXPECT_EQ(s.rows()[0].end, 300u);
-    EXPECT_EQ(s.rows()[0].delta.committedTxns, 6u);
+    EXPECT_EQ(s.rows()[0].delta[kCommits], 6u);
     // The epoch [300, 400) saw no counter movement: zero-delta row.
     EXPECT_EQ(s.rows()[1].epoch, 3u);
     EXPECT_EQ(s.rows()[1].start, 300u);
     EXPECT_EQ(s.rows()[1].end, 400u);
-    EXPECT_EQ(s.rows()[1].delta.committedTxns, 0u);
+    EXPECT_EQ(s.rows()[1].delta[kCommits], 0u);
 
-    counters.committedTxns = 20;
+    counters[kCommits] = 20;
     s.finish(455); // trailing partial epoch [400, 455)
     ASSERT_EQ(s.rows().size(), 3u);
     EXPECT_EQ(s.rows()[2].epoch, 4u);
     EXPECT_EQ(s.rows()[2].start, 400u);
     EXPECT_EQ(s.rows()[2].end, 455u);
-    EXPECT_EQ(s.rows()[2].delta.committedTxns, 4u);
+    EXPECT_EQ(s.rows()[2].delta[kCommits], 4u);
     // tps normalizes by the partial extent, not the epoch length.
     EXPECT_DOUBLE_EQ(s.rows()[2].tps(), 4.0 * 1e9 / 55.0);
 }
 
 TEST(Sampler, StartOnGridLineIsAFullFirstEpoch)
 {
-    CounterSnapshot counters;
+    Counters counters(obs::kNumEpochColumns);
     TimelineSampler s(100, [&] { return counters; });
     s.start(200);
-    counters.committedTxns = 3;
+    counters[kCommits] = 3;
     s.advance(300);
     ASSERT_EQ(s.rows().size(), 1u);
     EXPECT_EQ(s.rows()[0].epoch, 2u);
@@ -159,15 +167,15 @@ TEST(Sampler, StartOnGridLineIsAFullFirstEpoch)
 
 TEST(Sampler, FinishInsideFirstEpochEmitsOnePartialRow)
 {
-    CounterSnapshot counters;
+    Counters counters(obs::kNumEpochColumns);
     TimelineSampler s(1000, [&] { return counters; });
     s.start(0);
-    counters.committedTxns = 2;
+    counters[kCommits] = 2;
     s.finish(40);
     ASSERT_EQ(s.rows().size(), 1u);
     EXPECT_EQ(s.rows()[0].start, 0u);
     EXPECT_EQ(s.rows()[0].end, 40u);
-    EXPECT_EQ(s.rows()[0].delta.committedTxns, 2u);
+    EXPECT_EQ(s.rows()[0].delta[kCommits], 2u);
     // finish() is idempotent; later calls add nothing.
     s.finish(90);
     EXPECT_EQ(s.rows().size(), 1u);
@@ -175,28 +183,50 @@ TEST(Sampler, FinishInsideFirstEpochEmitsOnePartialRow)
 
 TEST(Sampler, RebaseAbsorbsStatsReset)
 {
-    CounterSnapshot counters;
-    counters.instructions = 100;
+    Counters counters(obs::kNumEpochColumns);
+    counters[kInstructions] = 100;
     TimelineSampler s(100, [&] { return counters; });
     s.start(0);
-    counters.instructions = 5; // external stats reset went backwards
+    counters[kInstructions] = 5; // external stats reset went backwards
     s.rebase();
-    counters.instructions = 12;
+    counters[kInstructions] = 12;
     s.advance(100);
     ASSERT_EQ(s.rows().size(), 1u);
-    EXPECT_EQ(s.rows()[0].delta.instructions, 7u);
+    EXPECT_EQ(s.rows()[0].delta[kInstructions], 7u);
 }
 
-TEST(Sampler, SinceSaturatesOnBackwardsCounters)
+TEST(Sampler, RowsSaturateOnBackwardsCounters)
 {
-    CounterSnapshot base, cur;
-    base.committedTxns = 50;
-    cur.committedTxns = 8; // went backwards: report post-reset value
-    base.busy = 10;
-    cur.busy = 30;
-    const CounterSnapshot d = cur.since(base);
-    EXPECT_EQ(d.committedTxns, 8u);
-    EXPECT_EQ(d.busy, 20u);
+    Counters counters(obs::kNumEpochColumns);
+    counters[kCommits] = 50;
+    counters[kBusy] = 10;
+    TimelineSampler s(100, [&] { return counters; });
+    s.start(0);
+    counters[kCommits] = 8; // went backwards: report post-reset value
+    counters[kBusy] = 30;
+    s.advance(100);
+    ASSERT_EQ(s.rows().size(), 1u);
+    EXPECT_EQ(s.rows()[0].delta[kCommits], 8u);
+    EXPECT_EQ(s.rows()[0].delta[kBusy], 20u);
+}
+
+TEST(Sampler, EpochColumnsAreUniqueAndOnlyCtxSwitchesIsTracerSourced)
+{
+    std::set<std::string> csv, keys, paths;
+    std::size_t tracerColumns = 0;
+    for (const obs::EpochColumn &col : obs::kEpochColumns) {
+        EXPECT_TRUE(csv.insert(col.csvHeader).second) << col.csvHeader;
+        EXPECT_TRUE(keys.insert(col.manifestKey).second)
+            << col.manifestKey;
+        if (col.statPath == nullptr) {
+            ++tracerColumns;
+            EXPECT_STREQ(col.manifestKey, "ctx_switches");
+        } else {
+            EXPECT_TRUE(paths.insert(col.statPath).second)
+                << col.statPath;
+        }
+    }
+    EXPECT_EQ(tracerColumns, 1u);
 }
 
 TEST(Tracer, CountsPerKindAndNocBytes)
@@ -259,13 +289,17 @@ TEST(Exporters, ChromeTraceOfEmptyCaptureIsValid)
 
 TEST(Exporters, CsvHeaders)
 {
-    EXPECT_EQ(std::string(obs::timelineCsvHeader()).rfind("epoch,", 0),
-              0u);
+    EXPECT_EQ(obs::timelineCsvHeader(),
+              "epoch,start_ns,end_ns,commits,tps,instructions,busy_ns,"
+              "idle_ns,kernel_ns,miss_instr_local,miss_instr_remote,"
+              "miss_data_local,miss_data_2hop,miss_data_3hop,"
+              "latch_acquires,latch_contended,ctx_switches,noc_msgs,"
+              "noc_bytes,noc_gbps");
 
-    CounterSnapshot counters;
+    Counters counters(obs::kNumEpochColumns);
     TimelineSampler s(100, [&] { return counters; });
     s.start(0);
-    counters.committedTxns = 1;
+    counters[kCommits] = 1;
     s.finish(150);
     std::ostringstream os;
     obs::writeTimelineCsv(os, s);
@@ -389,7 +423,12 @@ expectSameSnapshot(const stats::Snapshot &a, const stats::Snapshot &b)
         ASSERT_EQ(a[i].name, b[i].name);
         EXPECT_EQ(a[i].u, b[i].u) << a[i].name;
         EXPECT_EQ(doubleBits(a[i].d), doubleBits(b[i].d)) << a[i].name;
-        EXPECT_EQ(a[i].dist.count, b[i].dist.count) << a[i].name;
+        const stats::DistSummary &da = a[i].dist, &db = b[i].dist;
+        EXPECT_EQ(da.count, db.count) << a[i].name;
+        EXPECT_EQ(doubleBits(da.mean), doubleBits(db.mean)) << a[i].name;
+        EXPECT_EQ(doubleBits(da.p50), doubleBits(db.p50)) << a[i].name;
+        EXPECT_EQ(doubleBits(da.p95), doubleBits(db.p95)) << a[i].name;
+        EXPECT_EQ(doubleBits(da.p99), doubleBits(db.p99)) << a[i].name;
     }
 }
 
@@ -404,27 +443,9 @@ TEST(ObservedMachine, TracingDoesNotPerturbResults)
     observed.attachObservability(&o);
     const RunResult b = observed.run();
 
-    EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
-    EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
-    EXPECT_EQ(a.cpu.busy, b.cpu.busy);
-    EXPECT_EQ(a.cpu.idle, b.cpu.idle);
-    EXPECT_EQ(a.cpu.kernelTime, b.cpu.kernelTime);
-    EXPECT_EQ(a.misses.totalL2Misses(), b.misses.totalL2Misses());
-    EXPECT_EQ(a.misses.dataRemoteClean, b.misses.dataRemoteClean);
-    EXPECT_EQ(a.misses.dataRemoteDirty, b.misses.dataRemoteDirty);
-    EXPECT_EQ(a.misses.invalidationsSent, b.misses.invalidationsSent);
-    // Quantiles are doubles that may be NaN (unresolvable); NaN on
-    // both sides counts as equal here.
-    const auto sameLat = [](double x, double y) {
-        return (std::isnan(x) && std::isnan(y)) || x == y;
-    };
-    EXPECT_TRUE(sameLat(a.txnLatP50Us, b.txnLatP50Us));
-    EXPECT_TRUE(sameLat(a.txnLatP95Us, b.txnLatP95Us));
-    EXPECT_TRUE(sameLat(a.txnLatP99Us, b.txnLatP99Us));
-    EXPECT_DOUBLE_EQ(a.txnLatMeanUs, b.txnLatMeanUs);
     EXPECT_EQ(a.dbConsistent, b.dbConsistent);
-    // ...and every registered stat, bit for bit.
+    // Every registered stat, bit for bit.
     expectSameSnapshot(a.stats, b.stats);
 }
 
@@ -445,7 +466,6 @@ TEST(ObservedMachine, ObservingSplitWarmupDoesNotPerturbResults)
     observed.runWarmup();
     const RunResult b = observed.runMeasurement();
 
-    EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
     expectSameSnapshot(a.stats, b.stats);
 }
@@ -468,14 +488,15 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
         EXPECT_EQ(rows[i].start, rows[i - 1].end);
     std::uint64_t timeline_txns = 0;
     for (const auto &row : rows)
-        timeline_txns += row.delta.committedTxns;
+        timeline_txns += row.delta[kCommits];
     // The commit counter is cumulative across the warm-up boundary
     // (the rebase only absorbs the slice since the last boundary), so
     // the timeline holds at least every measured commit and at most
     // the warm-up plus measured total.
-    EXPECT_GE(timeline_txns, r.transactions);
+    EXPECT_GE(timeline_txns, r.stat("oltp.txn.committed"));
     EXPECT_LE(timeline_txns,
-              r.transactions + mpConfig().workload.warmupTransactions);
+              r.stat("oltp.txn.committed") +
+                  mpConfig().workload.warmupTransactions);
 
 #ifdef ISIM_OBS
     const Tracer &t = o.tracer();
@@ -559,11 +580,44 @@ TEST(ObservedMachine, RestoredRunOpensTimelineAtWarmBoundary)
 
     std::uint64_t timeline_txns = 0;
     for (const auto &row : rows)
-        timeline_txns += row.delta.committedTxns;
-    EXPECT_EQ(timeline_txns, r.transactions);
+        timeline_txns += row.delta[kCommits];
+    EXPECT_EQ(timeline_txns, r.stat("oltp.txn.committed"));
 #ifdef ISIM_OBS
     EXPECT_GT(o.tracer().count(EventKind::TxnCommit), 0u);
 #endif
+}
+
+TEST(ObservedMachine, EpochRowsSumToRegistryCounters)
+{
+    setQuiet(true);
+    // A restored machine opens its observed window at the warm
+    // boundary, after the warm-up reset, so no reset falls inside the
+    // window: each registry-sourced column must sum over the epoch
+    // rows to exactly the stat the manifest reports for its path.
+    Machine warm(mpConfig());
+    warm.runWarmup();
+    const std::unique_ptr<Machine> m =
+        Machine::fromCheckpointBytes(warm.checkpointBytes());
+    obs::ObsConfig cfg;
+    cfg.sampleEpochs = true; // manifest epoch rows, no CSV
+    cfg.epochTicks = 200000;
+    obs::Observability o(cfg);
+    m->attachObservability(&o);
+    const RunResult r = m->runMeasurement();
+
+    ASSERT_GT(r.epochs.size(), 1u);
+    for (std::size_t i = 0; i < obs::kNumEpochColumns; ++i) {
+        const char *path = obs::kEpochColumns[i].statPath;
+        if (path == nullptr)
+            continue; // ctx_switches: tracer-sourced
+        std::uint64_t sum = 0;
+        for (const obs::EpochRow &row : r.epochs)
+            sum += row.delta[i];
+        EXPECT_EQ(sum, r.stat(path)) << path;
+    }
+    // A multi-node run moves NoC messages even with tracing off.
+    EXPECT_GT(r.stat("noc.messages"), 0.0);
+    EXPECT_GT(r.stat("noc.bytes"), 0.0);
 }
 
 TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)

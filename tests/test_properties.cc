@@ -13,6 +13,7 @@
 
 #include "src/base/logging.hh"
 #include "src/core/machine.hh"
+#include "tests/run_stats.hh"
 
 namespace isim {
 namespace {
@@ -74,7 +75,7 @@ TEST_P(MachineSweep, RunEndsConsistent)
 
     // (b) The database really executed its transactions.
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_EQ(r.transactions, 48u);
+    EXPECT_EQ(r.stat("oltp.txn.committed"), 48u);
     // History rows are inserted during Execute; commits are counted
     // at Respond, so in-flight transactions may lead the commit count
     // by at most the number of servers.
@@ -86,17 +87,17 @@ TEST_P(MachineSweep, RunEndsConsistent)
               m.engine().committedTransactions() + servers);
 
     // (c) Stat identities.
-    EXPECT_GT(r.cpu.instructions, 0u);
-    EXPECT_GT(r.cpu.loads, 0u);
-    EXPECT_GT(r.cpu.stores, 0u);
-    EXPECT_EQ(r.execTime(),
-              r.cpu.busy + r.cpu.l2HitStall + r.cpu.localStall +
-                  r.cpu.remStall());
-    EXPECT_LE(r.cpu.kernelTime, r.execTime());
+    EXPECT_GT(r.stat("cpu.instructions"), 0u);
+    EXPECT_GT(r.stat("cpu.loads"), 0u);
+    EXPECT_GT(r.stat("cpu.stores"), 0u);
+    EXPECT_EQ(r.stat("cpu.exec_time"),
+              r.stat("cpu.busy") + r.stat("cpu.l2hit_stall") +
+                  r.stat("cpu.local_stall") + remStall(r));
+    EXPECT_LE(r.stat("cpu.kernel_time"), r.stat("cpu.exec_time"));
     if (param.cpus == 1) {
-        EXPECT_EQ(r.misses.dataRemoteClean +
-                      r.misses.dataRemoteDirty +
-                      r.misses.instrRemote,
+        EXPECT_EQ(r.stat("l2.miss.remote_clean") +
+                      r.stat("l2.miss.remote_dirty") +
+                      r.stat("l2.miss.instr_remote"),
                   0u);
     }
     // Every CPU did some work.
@@ -163,9 +164,9 @@ TEST_P(CapacitySweep, BiggerAssociativeCacheMissesLess)
         const RunResult r = Machine(cfg).run();
         // Allow a sliver of noise; capacity growth must not increase
         // misses materially.
-        EXPECT_LT(r.misses.totalL2Misses(),
+        EXPECT_LT(r.stat("l2.miss.total"),
                   prev_misses + prev_misses / 16);
-        prev_misses = r.misses.totalL2Misses();
+        prev_misses = static_cast<std::uint64_t>(r.stat("l2.miss.total"));
     }
 }
 

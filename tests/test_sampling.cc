@@ -265,7 +265,7 @@ TEST(SampledRun, ReportsScheduleCoverageAndPerStatBounds)
     // The expanded committed count is the full run, not the sampled
     // fraction: downstream consumers (figure tables, campaign merge)
     // must not need to know the run was sampled.
-    EXPECT_EQ(r.transactions, 200u);
+    EXPECT_EQ(r.stat("oltp.txn.committed"), 200u);
 }
 
 /** One-bar figure spec around sampleTestConfig. */

@@ -5,19 +5,16 @@
  * validation, the stats.json manifest round trip (serialize ->
  * jsonParse -> flatten recovers every stat with its value), the
  * flatten/diff regression machinery (injected drift is caught,
- * tolerance forgives it), and — end to end — that a Machine's
- * RunResult snapshot agrees with its legacy aggregate counters.
+ * tolerance forgives it), and counter-getter lookup.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
-#include "src/core/machine.hh"
 #include "src/stats/histogram.hh"
 #include "src/stats/manifest.hh"
 #include "src/stats/registry.hh"
@@ -122,6 +119,25 @@ TEST(RegistryDeathTest, RejectsMalformedName)
     EXPECT_DEATH(
         r.counter("trailing.", "bad", "events", [] { return 0u; }),
         "stat name");
+}
+
+TEST(Registry, CounterGetterReadsTheLiveCounter)
+{
+    std::uint64_t hits = 3;
+    Registry r;
+    r.counter("cache.hits", "hits", "refs", [&] { return hits; });
+    const Registry::CounterFn get = r.counterGetter("cache.hits");
+    hits = 11;
+    EXPECT_EQ(get(), 11u);
+}
+
+TEST(RegistryDeathTest, CounterGetterRejectsUnknownAndNonCounterStats)
+{
+    setQuiet(true);
+    Registry r;
+    r.gauge("queue.depth", "depth", "entries", [] { return 1.0; });
+    EXPECT_DEATH(r.counterGetter("no.such.stat"), "no stat named");
+    EXPECT_DEATH(r.counterGetter("queue.depth"), "not a counter");
 }
 
 /** A small two-bar manifest with known values. */
@@ -278,41 +294,6 @@ TEST(ManifestDiff, CatchesInjectedDriftAndRespectsTolerance)
     ASSERT_EQ(missing.onlyA.size(), 1u);
     EXPECT_EQ(missing.onlyA[0], "bar/oltp.txn.committed");
     EXPECT_TRUE(missing.onlyB.empty());
-}
-
-TEST(MachineStats, SnapshotAgreesWithLegacyAggregates)
-{
-    setQuiet(true);
-    MachineConfig cfg;
-    cfg.name = "test-stats-registry";
-    cfg.numCpus = 2;
-    cfg.workload.branches = 4;
-    cfg.workload.accountsPerBranch = 10000;
-    cfg.workload.transactions = 40;
-    cfg.workload.warmupTransactions = 10;
-
-    Machine machine(cfg);
-    const RunResult r = machine.run();
-    ASSERT_FALSE(r.stats.empty());
-
-    const auto value = [&](const char *name) {
-        const Sample *s = findSample(r.stats, name);
-        EXPECT_NE(s, nullptr) << name;
-        return s ? s->number() : std::nan("");
-    };
-    EXPECT_DOUBLE_EQ(value("cpu.instructions"),
-                     static_cast<double>(r.cpu.instructions));
-    EXPECT_DOUBLE_EQ(value("cpu.busy"),
-                     static_cast<double>(r.cpu.busy));
-    EXPECT_DOUBLE_EQ(value("l2.miss.total"),
-                     static_cast<double>(r.misses.totalL2Misses()));
-    EXPECT_DOUBLE_EQ(value("oltp.txn.committed"),
-                     static_cast<double>(r.transactions));
-    EXPECT_DOUBLE_EQ(value("cpu.exec_time"),
-                     static_cast<double>(r.execTime()));
-    // NoC accounting is always on: a multi-node run moves messages.
-    EXPECT_GT(value("noc.messages"), 0.0);
-    EXPECT_GT(value("noc.bytes"), 0.0);
 }
 
 } // namespace

@@ -412,7 +412,8 @@ main(int argc, char **argv)
         if (prof::enabled())
             row.prof = profDelta(before, prof::collectGlobal());
         for (const RunResult &r : result.runs) {
-            row.committedTxns += r.transactions;
+            row.committedTxns += static_cast<std::uint64_t>(
+                r.stat("oltp.txn.committed"));
             row.simulatedNs += r.wallTime;
         }
 
