@@ -9,8 +9,7 @@
  * With several files, all machines run (concurrently, see --jobs)
  * and the report is normalized to the first — so a file per bar
  * reproduces any figure. Options are the shared run flags
- * (--txns/--warmup/--seed/--jobs/--json-dir/--quiet), with the
- * ISIM_* environment variables as fallbacks.
+ * (--txns/--warmup/--seed/--jobs/--json-dir/--quiet, ...).
  */
 
 #include <cstring>

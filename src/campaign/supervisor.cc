@@ -356,7 +356,7 @@ runPool(const CampaignRunConfig &config, const CampaignPlan &plan)
             if (msg.version != kProtocolVersion ||
                 msg.nbars != plan.bars.size()) {
                 isim_fatal("campaign: worker expanded %llu bars, "
-                           "supervisor %zu — spec or environment "
+                           "supervisor %zu — spec or binary "
                            "drift between processes",
                            static_cast<unsigned long long>(msg.nbars),
                            plan.bars.size());

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -429,18 +430,26 @@ flagValue(const char *arg, const char *flag, std::string &value)
     return true;
 }
 
+} // namespace
+
 std::uint64_t
-parseUintFlag(const char *flag, const std::string &text)
+parseUintFlag(const char *flag, const std::string &text,
+              std::uint64_t max)
 {
+    // strtoull alone would take leading blanks and a sign (wrapping
+    // "-1" to 2^64-1) and clamp overflow to 2^64-1.
+    const char *s = text.c_str();
     char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        isim_fatal("%s: expected an integer, got '%s'", flag,
-                   text.c_str());
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0')
+        isim_fatal("%s: expected an unsigned integer, got '%s'", flag, s);
+    if (errno == ERANGE || v > max) {
+        isim_fatal("%s: %s is out of range (max %llu)", flag, s,
+                   static_cast<unsigned long long>(max));
+    }
     return v;
 }
-
-} // namespace
 
 const char *
 obsOptionsHelp()

@@ -96,6 +96,14 @@ obs::ObsConfig obsFromCommandLine(int &argc, char **argv);
 /** One-per-line description of the observability flags. */
 const char *obsOptionsHelp();
 
+/**
+ * Strict decimal value of an integer flag: fatal() unless `text` is
+ * all digits and at most `max` (malformed, signed, blank-padded and
+ * overflowing values are all errors).
+ */
+std::uint64_t parseUintFlag(const char *flag, const std::string &text,
+                            std::uint64_t max = ~std::uint64_t{0});
+
 } // namespace isim
 
 #endif // ISIM_CONFIG_OPTIONS_HH

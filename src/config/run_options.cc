@@ -1,13 +1,13 @@
 /**
  * @file
- * RunOptions resolution: the environment (once), then flags.
+ * RunOptions resolution from the command line.
  */
 
 #include "src/config/run_options.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "src/base/logging.hh"
@@ -19,85 +19,20 @@ namespace isim {
 
 namespace {
 
-/** Strict uint parse; nullopt on garbage (env values are lenient). */
-std::optional<std::uint64_t>
-parseUint(const char *text)
+/** parseUintFlag for the `unsigned` fields (jobs, procs). */
+unsigned
+parseUnsignedFlag(const char *flag, const std::string &text)
 {
-    if (!text || !*text)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-')
-        return std::nullopt;
-    return static_cast<std::uint64_t>(v);
-}
-
-/** Like parseUint but fatal(): flag values must be well-formed. */
-std::uint64_t
-parseUintOrDie(const char *flag, const std::string &text)
-{
-    const std::optional<std::uint64_t> v = parseUint(text.c_str());
-    if (!v)
-        isim_fatal("%s: expected an unsigned integer, got '%s'", flag,
-                   text.c_str());
-    return *v;
+    return static_cast<unsigned>(
+        parseUintFlag(flag, text, std::numeric_limits<unsigned>::max()));
 }
 
 } // namespace
 
 RunOptions
-RunOptions::fromEnv()
-{
-    RunOptions opts;
-    if (const auto v = parseUint(std::getenv("ISIM_TXNS"));
-        v && *v > 0) {
-        opts.txns = *v;
-    }
-    if (const auto v = parseUint(std::getenv("ISIM_WARMUP")))
-        opts.warmup = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SEED")))
-        opts.seed = *v;
-    if (const char *dir = std::getenv("ISIM_JSON_DIR"))
-        opts.jsonDir = dir;
-    if (const auto v = parseUint(std::getenv("ISIM_JOBS")))
-        opts.jobs = static_cast<unsigned>(*v);
-    if (const auto v = parseUint(std::getenv("ISIM_PROCS"));
-        v && *v >= 1) {
-        opts.procs = static_cast<unsigned>(*v);
-    }
-    if (const auto v = parseUint(std::getenv("ISIM_AUDIT_PERIOD"));
-        v && *v >= 1) {
-        opts.auditPeriod = *v;
-    }
-    if (const char *path = std::getenv("ISIM_STATS_OUT"))
-        opts.statsOut = path;
-    if (const auto v = parseUint(std::getenv("ISIM_STATS_EPOCH")))
-        opts.statsEpochTicks = *v;
-    if (const char *dir = std::getenv("ISIM_SAVE_CKPT"))
-        opts.saveCkptDir = dir;
-    if (const char *dir = std::getenv("ISIM_FROM_CKPT"))
-        opts.fromCkptDir = dir;
-    if (const char *path = std::getenv("ISIM_PROF_OUT"))
-        opts.profOut = path;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_FF")))
-        opts.sample.ff = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_MEASURE")))
-        opts.sample.measure = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_WINDOWS")))
-        opts.sample.windows = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_WARM")))
-        opts.sample.warm = *v;
-    if (const char *mode = std::getenv("ISIM_SAMPLE_MODE")) {
-        if (const auto m = sample::sampleModeFromName(mode))
-            opts.sample.mode = *m;
-    }
-    return opts;
-}
-
-RunOptions
 RunOptions::fromCommandLine(int &argc, char **argv)
 {
-    RunOptions opts = fromEnv();
+    RunOptions opts;
     opts.obs = obsFromCommandLine(argc, argv);
 
     // `--flag=value` or `--flag value`; consumed arguments are
@@ -125,27 +60,25 @@ RunOptions::fromCommandLine(int &argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (matches(i, "--txns")) {
-            const std::uint64_t v = parseUintOrDie("--txns", value);
+            const std::uint64_t v = parseUintFlag("--txns", value);
             if (v == 0)
                 isim_fatal("--txns must be positive");
             opts.txns = v;
         } else if (matches(i, "--warmup")) {
-            opts.warmup = parseUintOrDie("--warmup", value);
+            opts.warmup = parseUintFlag("--warmup", value);
         } else if (matches(i, "--seed")) {
-            opts.seed = parseUintOrDie("--seed", value);
+            opts.seed = parseUintFlag("--seed", value);
         } else if (matches(i, "--json-dir")) {
             opts.jsonDir = value;
         } else if (matches(i, "--jobs")) {
-            opts.jobs =
-                static_cast<unsigned>(parseUintOrDie("--jobs", value));
+            opts.jobs = parseUnsignedFlag("--jobs", value);
         } else if (matches(i, "--procs")) {
-            const std::uint64_t v = parseUintOrDie("--procs", value);
-            if (v == 0)
+            opts.procs = parseUnsignedFlag("--procs", value);
+            if (opts.procs == 0)
                 isim_fatal("--procs must be >= 1");
-            opts.procs = static_cast<unsigned>(v);
         } else if (matches(i, "--audit-period")) {
             const std::uint64_t v =
-                parseUintOrDie("--audit-period", value);
+                parseUintFlag("--audit-period", value);
             if (v == 0)
                 isim_fatal("--audit-period must be >= 1");
             opts.auditPeriod = v;
@@ -153,7 +86,7 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.statsOut = value;
         } else if (matches(i, "--stats-epoch")) {
             opts.statsEpochTicks =
-                parseUintOrDie("--stats-epoch", value);
+                parseUintFlag("--stats-epoch", value);
         } else if (matches(i, "--save-ckpt")) {
             opts.saveCkptDir = value;
         } else if (matches(i, "--from-ckpt")) {
@@ -161,15 +94,15 @@ RunOptions::fromCommandLine(int &argc, char **argv)
         } else if (matches(i, "--prof-out")) {
             opts.profOut = value;
         } else if (matches(i, "--sample-ff")) {
-            opts.sample.ff = parseUintOrDie("--sample-ff", value);
+            opts.sample.ff = parseUintFlag("--sample-ff", value);
         } else if (matches(i, "--sample-measure")) {
             opts.sample.measure =
-                parseUintOrDie("--sample-measure", value);
+                parseUintFlag("--sample-measure", value);
         } else if (matches(i, "--sample-windows")) {
             opts.sample.windows =
-                parseUintOrDie("--sample-windows", value);
+                parseUintFlag("--sample-windows", value);
         } else if (matches(i, "--sample-warm")) {
-            opts.sample.warm = parseUintOrDie("--sample-warm", value);
+            opts.sample.warm = parseUintFlag("--sample-warm", value);
         } else if (matches(i, "--sample-mode")) {
             const auto m = sample::sampleModeFromName(value);
             if (!m) {

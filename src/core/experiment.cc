@@ -28,7 +28,6 @@
 
 #include "src/base/logging.hh"
 #include "src/ckpt/checkpoint.hh"
-#include "src/core/sweep.hh"
 #include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
 #include "src/stats/manifest.hh"
@@ -59,12 +58,6 @@ std::string
 checkpointPath(const std::string &dir, const std::string &name)
 {
     return dir + "/" + checkpointSlug(name) + ".ckpt";
-}
-
-void
-ExperimentRunner::applyEnvOverrides(WorkloadParams &params)
-{
-    RunOptions::fromEnv().applyTo(params);
 }
 
 RunResult
@@ -246,12 +239,6 @@ ExperimentRunner::run(const FigureSpec &spec) const
             std::rethrow_exception(error);
     }
     return result;
-}
-
-FigureResult
-ExperimentRunner::run(const SweepSpec &sweep) const
-{
-    return run(sweep.expand());
 }
 
 } // namespace isim

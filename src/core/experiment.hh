@@ -8,10 +8,9 @@
  * executes them on a small worker pool (RunOptions::jobs threads,
  * default one per core). Each run is self-contained — per-machine
  * state, per-run observability bundle, RNG seeded from the config —
- * and every option that used to be read from the environment mid-run
- * is resolved once, up front, in RunOptions; results land in spec
- * order regardless of completion order, so a figure's output is
- * bit-identical at any job count.
+ * and every run option is resolved once, up front, in RunOptions;
+ * results land in spec order regardless of completion order, so a
+ * figure's output is bit-identical at any job count.
  */
 
 #ifndef ISIM_CORE_EXPERIMENT_HH
@@ -26,8 +25,6 @@
 #include "src/obs/observability.hh"
 
 namespace isim {
-
-struct SweepSpec;
 
 /** One bar of a figure. */
 struct FigureBar
@@ -72,48 +69,22 @@ std::string checkpointPath(const std::string &dir,
 class ExperimentRunner
 {
   public:
-    /** Options from the environment (RunOptions::fromEnv). */
-    explicit ExperimentRunner(bool verbose = true)
-        : options_(RunOptions::fromEnv())
-    {
-        options_.verbose = verbose;
-    }
-
-    /** Explicit options (flags already folded in by the caller). */
+    /** Options already resolved by the caller (flags, defaults). */
     explicit ExperimentRunner(const RunOptions &options)
         : options_(options)
     {
     }
 
     FigureResult run(const FigureSpec &spec) const;
-    /** Expand the sweep's cross-product and run it like a figure. */
-    FigureResult run(const SweepSpec &sweep) const;
     /** Run one configuration. */
     RunResult runOne(const MachineConfig &config) const;
-    /** Run one configuration with an observability bundle attached. */
-    RunResult runObserved(const MachineConfig &config,
-                          obs::Observability &o) const;
 
     const RunOptions &options() const { return options_; }
 
-    /**
-     * Observe one bar of each figure run (default: none). The bar
-     * index is clamped to the figure's bar count; output files are
-     * written as soon as the observed bar finishes.
-     */
-    void setObsConfig(const obs::ObsConfig &config)
-    {
-        options_.obs = config;
-    }
-    const obs::ObsConfig &obsConfig() const { return options_.obs; }
-
-    /**
-     * Apply the ISIM_TXNS / ISIM_WARMUP / ISIM_SEED environment
-     * overrides to a workload (legacy shim over RunOptions::fromEnv).
-     */
-    static void applyEnvOverrides(WorkloadParams &params);
-
   private:
+    /** Run one configuration with an observability bundle attached. */
+    RunResult runObserved(const MachineConfig &config,
+                          obs::Observability &o) const;
     RunResult runBar(const FigureSpec &spec, std::size_t index,
                      std::size_t observed_index) const;
     /**

@@ -6,21 +6,12 @@
 #include "src/verify/invariants.hh"
 
 #include <atomic>
-#include <string>
-
-#include "src/config/run_options.hh"
 
 namespace isim::verify {
 
 namespace {
 
-/**
- * Resolved before main() — single-threaded, so the one getenv() in
- * RunOptions::fromEnv() never runs on a worker thread — and then
- * overridable via setAuditPeriod() (RunOptions::applyGlobal()).
- */
-const std::uint64_t startupAuditPeriod =
-    RunOptions::fromEnv().auditPeriod;
+/** Set from --audit-period by RunOptions::applyGlobal(); 0 = default. */
 std::atomic<std::uint64_t> auditPeriodOverride{0};
 
 } // namespace
@@ -36,11 +27,7 @@ auditPeriod()
 {
     const std::uint64_t v =
         auditPeriodOverride.load(std::memory_order_relaxed);
-    if (v)
-        return v;
-    // The fallback guards against use before this TU's dynamic init.
-    return startupAuditPeriod ? startupAuditPeriod
-                              : std::uint64_t{1} << 20;
+    return v ? v : std::uint64_t{1} << 20;
 }
 
 namespace {
@@ -419,7 +406,7 @@ TransitionAudit::finish(const AccessOutcome &out)
     checkOutcome(expected_, out, core_, type_, lineAddr_);
     auditLine(ms_, lineAddr_);
     auditStats(ms_);
-    // Full audits log-spaced early, then every ISIM_AUDIT_PERIOD.
+    // Full audits log-spaced early, then every auditPeriod().
     const std::uint64_t t = ms_.transitionCount();
     if ((t & (t - 1)) == 0 || t % auditPeriod() == 0)
         auditFull(ms_);

@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for the experiment harness: environment overrides, figure
- * running, and normalization plumbing.
+ * Tests for the experiment harness: single runs, figure running,
+ * and run-to-run determinism.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "src/base/logging.hh"
 #include "src/core/experiment.hh"
@@ -27,36 +25,12 @@ smallWorkload()
     return p;
 }
 
-class EnvGuard
+RunOptions
+quietOptions()
 {
-  public:
-    EnvGuard(const char *key, const char *value) : key_(key)
-    {
-        ::setenv(key, value, 1);
-    }
-    ~EnvGuard() { ::unsetenv(key_); }
-
-  private:
-    const char *key_;
-};
-
-TEST(Experiment, EnvOverridesApply)
-{
-    EnvGuard txns("ISIM_TXNS", "123");
-    EnvGuard warm("ISIM_WARMUP", "45");
-    WorkloadParams p;
-    ExperimentRunner::applyEnvOverrides(p);
-    EXPECT_EQ(p.transactions, 123u);
-    EXPECT_EQ(p.warmupTransactions, 45u);
-}
-
-TEST(Experiment, EnvOverridesIgnoreGarbage)
-{
-    EnvGuard txns("ISIM_TXNS", "not-a-number");
-    WorkloadParams p;
-    const std::uint64_t before = p.transactions;
-    ExperimentRunner::applyEnvOverrides(p);
-    EXPECT_EQ(p.transactions, before);
+    RunOptions opts;
+    opts.verbose = false;
+    return opts;
 }
 
 TEST(Experiment, RunOneProducesConsistentResult)
@@ -64,7 +38,7 @@ TEST(Experiment, RunOneProducesConsistentResult)
     setQuiet(true);
     MachineConfig cfg = figures::baseMachine(1);
     cfg.workload = smallWorkload();
-    ExperimentRunner runner(/*verbose=*/false);
+    const ExperimentRunner runner(quietOptions());
     const RunResult r = runner.runOne(cfg);
     EXPECT_EQ(r.stat("oltp.txn.committed"), 40u);
     EXPECT_TRUE(r.dbConsistent);
@@ -84,7 +58,7 @@ TEST(Experiment, RunFigureKeepsBarOrder)
         bar.config.name = "cpus" + std::to_string(cpus);
         spec.bars.push_back(bar);
     }
-    ExperimentRunner runner(/*verbose=*/false);
+    const ExperimentRunner runner(quietOptions());
     const FigureResult result = runner.run(spec);
     ASSERT_EQ(result.runs.size(), 2u);
     EXPECT_EQ(result.runs[0].name, "cpus1");
@@ -96,7 +70,7 @@ TEST(Experiment, IdenticalConfigsGiveIdenticalRuns)
     setQuiet(true);
     MachineConfig cfg = figures::baseMachine(2);
     cfg.workload = smallWorkload();
-    ExperimentRunner runner(/*verbose=*/false);
+    const ExperimentRunner runner(quietOptions());
     const RunResult a = runner.runOne(cfg);
     const RunResult b = runner.runOne(cfg);
     EXPECT_EQ(a.stat("cpu.exec_time"), b.stat("cpu.exec_time"));

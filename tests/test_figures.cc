@@ -186,7 +186,9 @@ TEST(Report, TablesRenderAllBars)
         bar.config.workload.accountsPerBranch = 10000;
         bar.config.workload.blockBufferBytes = 64 * mib;
     }
-    ExperimentRunner runner(/*verbose=*/false);
+    RunOptions quiet;
+    quiet.verbose = false;
+    const ExperimentRunner runner(quiet);
     const FigureResult result = runner.run(spec);
     const Table exec = executionTable(result);
     const Table miss = missTable(result);

@@ -97,13 +97,17 @@ TEST(LintDeterminism, AcceptsSeededRngAndJustifiedSuppression)
 
 TEST(LintDeterminism, ExemptsTheSanctionedImplementations)
 {
-    // The one RNG implementation and the one getenv site are exempt.
+    // The one RNG implementation is exempt; getenv has no exempt site,
+    // not even the RunOptions resolver.
     const auto findings = lintText({
         {"src/base/random.cc", "int x = std::mt19937{}();"},
         {"src/config/run_options.cc",
-         "const char *v = getenv(\"ISIM_JOBS\");"},
+         "const char *v = getenv(\"HOME\");"},
     });
-    EXPECT_EQ(countRule(findings, "determinism"), 0u);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "determinism");
+    EXPECT_EQ(findings[0].path, "src/config/run_options.cc");
+    EXPECT_TRUE(anyMessageContains(findings, "getenv"));
 }
 
 // ---------------------------------------------------------------- //

@@ -92,10 +92,9 @@ TEST(Parallel, SweepRunsParallelAndDeterministic)
                 inner(c);
             };
         }
-    const FigureResult seq =
-        ExperimentRunner(quietOptions(1)).run(sweep);
-    const FigureResult par =
-        ExperimentRunner(quietOptions(4)).run(sweep);
+    const FigureSpec spec = sweep.expand();
+    const FigureResult seq = ExperimentRunner(quietOptions(1)).run(spec);
+    const FigureResult par = ExperimentRunner(quietOptions(4)).run(spec);
     ASSERT_EQ(seq.runs.size(), 4u);
     EXPECT_EQ(figureToJson(seq), figureToJson(par));
 }

@@ -19,8 +19,8 @@ namespace {
 
 TEST(Registry, EveryBenchIdResolves)
 {
-    // Each bench binary forwards one of these ids to the registry;
-    // a miss here means a broken alias binary.
+    // The ids the docs tell users to pass to `isim-fig run`; a miss
+    // here means a documented command no longer starts its figure.
     const std::vector<std::string> ids = {
         "fig05",           "fig06",
         "fig07",           "fig08",

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for RunOptions: environment resolution, command-line flags,
- * flag-over-env precedence, workload application, and the global
+ * Tests for RunOptions: command-line flags and their validation, the
+ * ignored environment, workload application, and the global
  * audit-period wiring.
  */
 
@@ -81,46 +81,29 @@ TEST(RunOptions, DefaultsAreInert)
     EXPECT_EQ(params.seed, before.seed);
 }
 
-TEST(RunOptions, FromEnvReadsEveryVariable)
+TEST(RunOptions, EnvironmentIsIgnored)
 {
-    EnvGuard txns("ISIM_TXNS", "123");
-    EnvGuard warm("ISIM_WARMUP", "45");
-    EnvGuard seed("ISIM_SEED", "7");
-    EnvGuard jobs("ISIM_JOBS", "3");
-    EnvGuard dir("ISIM_JSON_DIR", "/tmp/isim-json");
-    EnvGuard audit("ISIM_AUDIT_PERIOD", "512");
-    const RunOptions opts = RunOptions::fromEnv();
-    EXPECT_EQ(opts.txns, 123u);
-    EXPECT_EQ(opts.warmup, 45u);
-    EXPECT_EQ(opts.seed, 7u);
-    EXPECT_EQ(opts.jobs, 3u);
-    EXPECT_EQ(opts.jsonDir, "/tmp/isim-json");
-    EXPECT_EQ(opts.auditPeriod, 512u);
-}
-
-TEST(RunOptions, FromEnvIgnoresGarbage)
-{
-    EnvGuard txns("ISIM_TXNS", "not-a-number");
-    EnvGuard warm("ISIM_WARMUP", "-3");
-    EnvGuard jobs("ISIM_JOBS", "2x");
-    EnvGuard audit("ISIM_AUDIT_PERIOD", "0");
-    const RunOptions opts = RunOptions::fromEnv();
-    EXPECT_FALSE(opts.txns);
-    EXPECT_FALSE(opts.warmup);
-    EXPECT_EQ(opts.jobs, 0u);
-    EXPECT_EQ(opts.auditPeriod, std::uint64_t{1} << 20);
-}
-
-TEST(RunOptions, FlagsWinOverEnvironment)
-{
+    // Variables that once acted as fallbacks change nothing: a run's
+    // size always shows up in its command line.
     EnvGuard txns("ISIM_TXNS", "111");
     EnvGuard warm("ISIM_WARMUP", "99");
-    Args args({"--txns=222", "--jobs", "4", "--seed", "5",
-               "--json-dir=/tmp/j", "--quiet"});
+    Args args({});
     const RunOptions opts =
         RunOptions::fromCommandLine(args.argc(), args.argv());
-    EXPECT_EQ(opts.txns, 222u);   // flag beat ISIM_TXNS
-    EXPECT_EQ(opts.warmup, 99u);  // env fallback survives
+    EXPECT_FALSE(opts.txns);
+    EXPECT_FALSE(opts.warmup);
+}
+
+TEST(RunOptions, BothFlagFormsParse)
+{
+    Args args({"--txns", "10", "--warmup=20", "--audit-period", "64",
+               "--jobs", "4", "--seed=5", "--json-dir=/tmp/j",
+               "--quiet"});
+    const RunOptions opts =
+        RunOptions::fromCommandLine(args.argc(), args.argv());
+    EXPECT_EQ(opts.txns, 10u);
+    EXPECT_EQ(opts.warmup, 20u);
+    EXPECT_EQ(opts.auditPeriod, 64u);
     EXPECT_EQ(opts.jobs, 4u);
     EXPECT_EQ(opts.seed, 5u);
     EXPECT_EQ(opts.jsonDir, "/tmp/j");
@@ -128,14 +111,32 @@ TEST(RunOptions, FlagsWinOverEnvironment)
     EXPECT_TRUE(args.rest().empty()); // everything was consumed
 }
 
-TEST(RunOptions, BothFlagFormsParse)
+TEST(RunOptions, OutOfRangeFlagsAreFatal)
 {
-    Args args({"--txns", "10", "--warmup=20", "--audit-period", "64"});
-    const RunOptions opts =
-        RunOptions::fromCommandLine(args.argc(), args.argv());
-    EXPECT_EQ(opts.txns, 10u);
-    EXPECT_EQ(opts.warmup, 20u);
-    EXPECT_EQ(opts.auditPeriod, 64u);
+    ScopedPanicThrow guard;
+    const auto parse = [](std::vector<std::string> flags) {
+        Args args(std::move(flags));
+        return RunOptions::fromCommandLine(args.argc(), args.argv());
+    };
+    // Malformed: not a number, signed, blank-padded, trailing junk.
+    EXPECT_THROW(parse({"--txns=abc"}), PanicError);
+    EXPECT_THROW(parse({"--warmup=-3"}), PanicError);
+    EXPECT_THROW(parse({"--warmup=+3"}), PanicError);
+    EXPECT_THROW(parse({"--seed", " 7"}), PanicError);
+    EXPECT_THROW(parse({"--jobs=2x"}), PanicError);
+    EXPECT_THROW(parse({"--trace-bar=-1"}), PanicError);
+    // Overflowing 64 bits (unchecked, 2^64 clamps to 2^64-1).
+    EXPECT_THROW(parse({"--txns", "18446744073709551616"}), PanicError);
+    EXPECT_THROW(parse({"--stats-epoch=99999999999999999999"}),
+                 PanicError);
+    // Too wide for the `unsigned` fields (unchecked, 2^32+1 wraps to
+    // 1 and 2^32 to 0, slipping past --procs' >= 1 check).
+    EXPECT_THROW(parse({"--jobs", "4294967297"}), PanicError);
+    EXPECT_THROW(parse({"--procs", "4294967296"}), PanicError);
+    // The boundaries themselves are accepted.
+    EXPECT_EQ(parse({"--jobs=4294967295"}).jobs, 4294967295u);
+    EXPECT_EQ(parse({"--seed=18446744073709551615"}).seed,
+              ~std::uint64_t{0});
 }
 
 TEST(RunOptions, UnrecognizedArgumentsSurviveInOrder)
@@ -208,7 +209,7 @@ TEST(RunOptions, ApplyGlobalInstallsAuditPeriod)
     opts.auditPeriod = 4096;
     opts.applyGlobal();
     EXPECT_EQ(verify::auditPeriod(), 4096u);
-    verify::setAuditPeriod(0); // restore the startup value
+    verify::setAuditPeriod(0); // restore the default
     EXPECT_EQ(verify::auditPeriod(), before);
 }
 

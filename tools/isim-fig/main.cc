@@ -3,7 +3,8 @@
  * isim-fig — the figure multiplexer. One binary that can list and
  * run every figure, ablation, and extension experiment in the
  * FigureRegistry, so new experiments need a registry entry instead
- * of a new bench binary + CMake target.
+ * of a new binary + CMake target; `isim-fig run <id>` is the one way
+ * to start a figure.
  *
  * Usage:
  *   isim-fig list
@@ -12,8 +13,8 @@
  * Ids resolve exactly first, then by prefix ("fig10" runs fig10-uni
  * and fig10-mp; "ablation" runs every ablation). Options are the
  * shared run flags (--txns, --warmup, --seed, --jobs, --json-dir,
- * --quiet, --audit-period) and the observability capture flags; the
- * ISIM_* environment variables are fallbacks for the same knobs.
+ * --quiet, --audit-period, ...) and the observability capture flags;
+ * no environment variable is read.
  */
 
 #include <algorithm>
@@ -43,9 +44,7 @@ usage(std::FILE *to, const char *argv0)
         "Runs figures/ablations/extensions from the registry and "
         "prints the\npaper-style reports. Bars of a figure run "
         "concurrently (--jobs).\n"
-        "\nOptions:\n%s%s"
-        "\nEnvironment fallbacks: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED, "
-        "ISIM_JOBS,\nISIM_JSON_DIR, ISIM_AUDIT_PERIOD (flags win).\n",
+        "\nOptions:\n%s%s",
         argv0, argv0, isim::runOptionsHelp(), isim::obsOptionsHelp());
     return to == stdout ? 0 : 2;
 }
