@@ -23,7 +23,6 @@
 #include "src/campaign/cache.hh"
 #include "src/campaign/protocol.hh"
 #include "src/core/report.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
 #include "src/stats/manifest.hh"
 
@@ -98,13 +97,6 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
     isim_assert(lease.index < plan.bars.size(), "lease out of range");
     const CampaignBar &bar = plan.bars[lease.index];
     const std::string image = imagePath(out_dir, bar.groupKey);
-    // A lease runs entirely on this thread, so the thread-local
-    // accumulator window IS the bar's profile. The prof.json sidecar
-    // never participates in the cache-hit test or the merge, so
-    // campaign.json stays byte-identical with or without profiling.
-    const bool prof_on = prof::enabled();
-    if (prof_on)
-        prof::threadReset();
     try {
         std::unique_ptr<Machine> machine;
         switch (lease.mode) {
@@ -149,15 +141,9 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         stats::Manifest m;
         m.figure = bar.figureId;
         m.title = "campaign cell";
-        // r.hostWallMs stays unset: the cached bar file must be
-        // byte-stable across resumes (docs/CAMPAIGN.md).
         m.bars.push_back(manifestBar(r, bar.name));
         writeFileAtomic(barStatsPath(out_dir, bar.key),
                         stats::manifestToJson(m));
-        if (prof_on) {
-            writeFileAtomic(barProfPath(out_dir, bar.key),
-                            prof::profJson(prof::threadSnapshot()));
-        }
         return {true, ""};
     } catch (const PanicError &e) {
         return {false, e.what()};

@@ -11,7 +11,6 @@
 #include "src/base/logging.hh"
 #include "src/core/machine.hh"
 #include "src/core/simulation.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -294,7 +293,6 @@ Machine::checkpointBytes() const
 void
 Machine::saveCheckpoint(const std::string &path) const
 {
-    ISIM_PROF_SCOPE("ckpt/save");
     const std::vector<std::uint8_t> image = checkpointBytes();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -317,7 +315,6 @@ Machine::stateDigest() const
 void
 Machine::restoreFromImage(ckpt::Deserializer &d)
 {
-    ISIM_PROF_SCOPE("ckpt/restore");
     d.beginSection(ckpt::tagMeta);
     warmEnd_ = d.u64();
     // Images written before the warm-up mode was retired carry one

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/base/logging.hh"
@@ -42,7 +43,7 @@ lower(std::string text)
 } // namespace
 
 std::uint64_t
-parseSize(const std::string &text)
+parseSize(const std::string &text, const std::string &key)
 {
     const std::string t = trim(text);
     if (t.empty())
@@ -60,7 +61,10 @@ parseSize(const std::string &text)
         digits.find_first_not_of("0123456789") != std::string::npos) {
         isim_fatal("malformed size value '%s'", text.c_str());
     }
-    return std::stoull(digits) * scale;
+    // Bounding the digits by max / scale keeps the product in range.
+    return parseUintFlag(key.c_str(), digits,
+                         ~std::uint64_t{0} / scale) *
+           scale;
 }
 
 KvConfig
@@ -133,17 +137,13 @@ KvConfig::getOr(const std::string &key,
 }
 
 std::uint64_t
-KvConfig::getUint(const std::string &key, std::uint64_t fallback) const
+KvConfig::getUint(const std::string &key, std::uint64_t fallback,
+                  std::uint64_t max) const
 {
     markRead(key);
     auto it = map_.find(key);
-    if (it == map_.end())
-        return fallback;
-    const std::string &v = it->second;
-    if (v.find_first_not_of("0123456789") != std::string::npos)
-        isim_fatal("config key '%s': expected integer, got '%s'",
-                   key.c_str(), v.c_str());
-    return std::stoull(v);
+    return it == map_.end() ? fallback
+                            : parseUintFlag(key.c_str(), it->second, max);
 }
 
 double
@@ -186,7 +186,7 @@ KvConfig::getSize(const std::string &key, std::uint64_t fallback) const
 {
     markRead(key);
     auto it = map_.find(key);
-    return it == map_.end() ? fallback : parseSize(it->second);
+    return it == map_.end() ? fallback : parseSize(it->second, key);
 }
 
 void
@@ -206,6 +206,14 @@ KvConfig::firstUnread() const
 }
 
 namespace {
+
+/** KvConfig::getUint for the `unsigned` fields. */
+unsigned
+getUnsigned(const KvConfig &kv, const std::string &key, unsigned fallback)
+{
+    return static_cast<unsigned>(
+        kv.getUint(key, fallback, std::numeric_limits<unsigned>::max()));
+}
 
 IntegrationLevel
 levelFromName(const std::string &name)
@@ -284,10 +292,9 @@ machineFromConfig(const KvConfig &kv)
 {
     MachineConfig cfg;
     cfg.name = kv.getOr("machine.name", "from-config");
-    cfg.numCpus = static_cast<unsigned>(
-        kv.getUint("machine.cpus", cfg.numCpus));
-    cfg.coresPerNode = static_cast<unsigned>(
-        kv.getUint("machine.cores_per_node", cfg.coresPerNode));
+    cfg.numCpus = getUnsigned(kv, "machine.cpus", cfg.numCpus);
+    cfg.coresPerNode =
+        getUnsigned(kv, "machine.cores_per_node", cfg.coresPerNode);
 
     const std::string model =
         lower(kv.getOr("machine.cpu_model", "inorder"));
@@ -299,12 +306,10 @@ machineFromConfig(const KvConfig &kv)
         isim_fatal("unknown cpu model '%s' (want inorder | ooo)",
                    model.c_str());
     }
-    cfg.oooParams.width = static_cast<unsigned>(
-        kv.getUint("ooo.width", cfg.oooParams.width));
-    cfg.oooParams.window = static_cast<unsigned>(
-        kv.getUint("ooo.window", cfg.oooParams.window));
-    cfg.oooParams.lsPorts = static_cast<unsigned>(
-        kv.getUint("ooo.ls_ports", cfg.oooParams.lsPorts));
+    cfg.oooParams.width = getUnsigned(kv, "ooo.width", cfg.oooParams.width);
+    cfg.oooParams.window = getUnsigned(kv, "ooo.window", cfg.oooParams.window);
+    cfg.oooParams.lsPorts =
+        getUnsigned(kv, "ooo.ls_ports", cfg.oooParams.lsPorts);
     cfg.oooParams.mispredictEveryInstrs =
         kv.getDouble("ooo.mispredict_every",
                      cfg.oooParams.mispredictEveryInstrs);
@@ -314,24 +319,22 @@ machineFromConfig(const KvConfig &kv)
     if (kv.has("machine.l2.impl"))
         cfg.l2Impl = implFromName(kv.get("machine.l2.impl"));
     cfg.l2.sizeBytes = kv.getSize("machine.l2.size", cfg.l2.sizeBytes);
-    cfg.l2.assoc = static_cast<unsigned>(
-        kv.getUint("machine.l2.assoc", cfg.l2.assoc));
+    cfg.l2.assoc = getUnsigned(kv, "machine.l2.assoc", cfg.l2.assoc);
 
     cfg.rac = kv.getBool("machine.rac.enabled", cfg.rac);
     cfg.racGeom.sizeBytes =
         kv.getSize("machine.rac.size", cfg.racGeom.sizeBytes);
-    cfg.racGeom.assoc = static_cast<unsigned>(
-        kv.getUint("machine.rac.assoc", cfg.racGeom.assoc));
+    cfg.racGeom.assoc =
+        getUnsigned(kv, "machine.rac.assoc", cfg.racGeom.assoc);
     cfg.replicateCode =
         kv.getBool("machine.replicate_code", cfg.replicateCode);
-    cfg.victimBufferEntries = static_cast<unsigned>(
-        kv.getUint("machine.victim_buffer", cfg.victimBufferEntries));
-    cfg.prefetchDegree = static_cast<unsigned>(
-        kv.getUint("machine.prefetch_degree", cfg.prefetchDegree));
+    cfg.victimBufferEntries =
+        getUnsigned(kv, "machine.victim_buffer", cfg.victimBufferEntries);
+    cfg.prefetchDegree =
+        getUnsigned(kv, "machine.prefetch_degree", cfg.prefetchDegree);
     cfg.mcOccupancy =
         kv.getUint("machine.mc_occupancy", cfg.mcOccupancy);
-    cfg.pageColors = static_cast<unsigned>(
-        kv.getUint("machine.page_colors", cfg.pageColors));
+    cfg.pageColors = getUnsigned(kv, "machine.page_colors", cfg.pageColors);
 
     WorkloadParams &w = cfg.workload;
     const std::string kind = lower(kv.getOr("workload.kind", "tpcb"));
@@ -343,19 +346,18 @@ machineFromConfig(const KvConfig &kv)
         isim_fatal("unknown workload kind '%s' (want tpcb | dss)",
                    kind.c_str());
     }
-    w.dssStreamsPerCpu = static_cast<unsigned>(
-        kv.getUint("workload.dss_streams_per_cpu", w.dssStreamsPerCpu));
+    w.dssStreamsPerCpu =
+        getUnsigned(kv, "workload.dss_streams_per_cpu", w.dssStreamsPerCpu);
     w.dssBlocksPerQuery =
         kv.getUint("workload.dss_blocks_per_query", w.dssBlocksPerQuery);
     w.transactions = kv.getUint("workload.transactions", w.transactions);
     w.warmupTransactions =
         kv.getUint("workload.warmup", w.warmupTransactions);
-    w.branches = static_cast<unsigned>(
-        kv.getUint("workload.branches", w.branches));
-    w.accountsPerBranch = static_cast<unsigned>(
-        kv.getUint("workload.accounts_per_branch", w.accountsPerBranch));
-    w.serversPerCpu = static_cast<unsigned>(
-        kv.getUint("workload.servers_per_cpu", w.serversPerCpu));
+    w.branches = getUnsigned(kv, "workload.branches", w.branches);
+    w.accountsPerBranch =
+        getUnsigned(kv, "workload.accounts_per_branch", w.accountsPerBranch);
+    w.serversPerCpu =
+        getUnsigned(kv, "workload.servers_per_cpu", w.serversPerCpu);
     w.blockBufferBytes =
         kv.getSize("workload.block_buffer", w.blockBufferBytes);
     w.seed = kv.getUint("workload.seed", w.seed);
@@ -443,7 +445,8 @@ parseUintFlag(const char *flag, const std::string &text,
     errno = 0;
     const unsigned long long v = std::strtoull(s, &end, 10);
     if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0')
-        isim_fatal("%s: expected an unsigned integer, got '%s'", flag, s);
+        isim_fatal("%s: expected integer (decimal digits only), got '%s'",
+                   flag, s);
     if (errno == ERANGE || v > max) {
         isim_fatal("%s: %s is out of range (max %llu)", flag, s,
                    static_cast<unsigned long long>(max));

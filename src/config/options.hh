@@ -38,9 +38,9 @@ class KvConfig
     std::string getOr(const std::string &key,
                       const std::string &fallback) const;
 
-    /** Typed readers (fatal() on malformed values). */
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t fallback) const;
+    /** Typed readers (fatal() on malformed or out-of-range values). */
+    std::uint64_t getUint(const std::string &key, std::uint64_t fallback,
+                          std::uint64_t max = ~std::uint64_t{0}) const;
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback) const;
     /** Size with suffix: "64", "32K", "2M", "1G". */
@@ -62,8 +62,12 @@ class KvConfig
     mutable std::map<std::string, bool> read_;
 };
 
-/** Parse "64" / "32K" / "2M" / "1G" into bytes; fatal() on junk. */
-std::uint64_t parseSize(const std::string &text);
+/**
+ * Parse "64" / "32K" / "2M" / "1G" into bytes; fatal() on junk or a
+ * size past 2^64-1, naming `key` in the message.
+ */
+std::uint64_t parseSize(const std::string &text,
+                        const std::string &key = "size");
 
 /**
  * Build a full machine configuration from a KvConfig. Unknown keys

@@ -73,14 +73,6 @@ struct RunOptions
      */
     std::string fromCkptDir;
     /**
-     * Host-profile output path ("" = off). Setting it runtime-enables
-     * the self-profiler and writes a schema-versioned prof.json there
-     * (docs/PROFILING.md). In a build without -DISIM_PROF=ON the file
-     * is still written, as a valid `"enabled": false` stub. Host
-     * profile data never enters stats.json or figure JSON.
-     */
-    std::string profOut;
-    /**
      * Sampled-simulation axis (docs/SAMPLING.md): off unless
      * --sample-measure is given. Applies to every bar of the run;
      * sampled and exact cells never alias in the campaign cache
@@ -104,7 +96,6 @@ struct RunOptions
      *   --stats-epoch TICKS      embed per-epoch rows on this grid
      *   --save-ckpt DIR          save a warm checkpoint per bar
      *   --from-ckpt DIR          restore warm checkpoints (skip warm-up)
-     *   --prof-out FILE          write the host self-profile to FILE
      *   --sample-ff N            fast-forward N txns per sampling period
      *   --sample-measure N       measure M txns per window (enables
      *                            sampling; docs/SAMPLING.md)
@@ -124,9 +115,8 @@ struct RunOptions
     void applyTo(WorkloadParams &params) const;
 
     /**
-     * Install the process-wide knobs (the invariant-audit period,
-     * quiet mode, and the self-profiler enable). Call once from
-     * main(), before machines run.
+     * Install the process-wide knobs (the invariant-audit period and
+     * quiet mode). Call once from main(), before machines run.
      */
     void applyGlobal() const;
 

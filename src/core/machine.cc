@@ -9,7 +9,6 @@
 #include "src/core/simulation.hh"
 #include "src/cpu/inorder.hh"
 #include "src/obs/observability.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -320,8 +319,6 @@ void
 Machine::runWarmup()
 {
     isim_assert(!warmupRan_, "warm-up already ran (or was restored)");
-    ISIM_PROF_PHASE(prof::Phase::Warmup);
-    ISIM_PROF_SCOPE("warmup");
     ensureSim();
     if (obs_ != nullptr)
         obs_->beginRun(0);
@@ -336,8 +333,6 @@ RunResult
 Machine::runMeasurement()
 {
     isim_assert(warmupRan_, "runMeasurement before warm-up");
-    ISIM_PROF_PHASE(prof::Phase::Measure);
-    ISIM_PROF_SCOPE("measure");
     ensureSim();
     if (!obsBegun_) {
         // Checkpoint restore: the run is announced at the warm

@@ -212,9 +212,6 @@ manifestBar(const RunResult &r, const std::string &name)
         bar.meta.seed = r.seed;
         bar.meta.simWallMs =
             static_cast<double>(r.wallTime) / 1e6; // sim ns -> ms
-        // Host time is nondeterministic; only self-profiling runs
-        // measure it (keeps default manifests byte-comparable).
-        bar.meta.hostWallMs = r.hostWallMs;
         if (r.sampling.enabled) {
             bar.meta.sampleMode = sample::sampleModeName(r.sampling.mode);
             bar.meta.sampleFf = r.sampling.ff;

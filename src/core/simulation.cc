@@ -11,7 +11,6 @@
 #include "src/cpu/inorder.hh"
 #include "src/cpu/ooo.hh"
 #include "src/obs/observability.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -158,14 +157,11 @@ Simulation::runUntil(std::uint64_t target)
     while (engine_.committedTransactions() < target) {
         NodeId best = invalidNode;
         Tick best_time = maxTick;
-        {
-            ISIM_PROF_SCOPE_PHASED("sched_scan");
-            for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
-                const Tick t = nextEventTime(cpu);
-                if (t < best_time) {
-                    best_time = t;
-                    best = cpu;
-                }
+        for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
+            const Tick t = nextEventTime(cpu);
+            if (t < best_time) {
+                best_time = t;
+                best = cpu;
             }
         }
         if (best == invalidNode) {

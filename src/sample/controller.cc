@@ -16,7 +16,6 @@
 #include "src/base/random.hh"
 #include "src/core/simulation.hh"
 #include "src/obs/observability.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/estimator.hh"
 
 namespace isim {
@@ -50,8 +49,6 @@ SampleController::run()
     const SamplePlan plan = derivePlan(spec_, txns);
 
     m.ensureSim();
-    ISIM_PROF_PHASE(prof::Phase::Measure);
-    ISIM_PROF_SCOPE("measure");
     if (!m.obsBegun_) {
         if (m.obs_ != nullptr)
             m.obs_->beginRun(m.warmEnd_);

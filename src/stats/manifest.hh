@@ -39,15 +39,13 @@
  * (docs/CAMPAIGN.md) — and "sim_wall_ms" is the *simulated*
  * wall-clock of the measurement window in milliseconds
  * (deterministic, so manifests stay byte-comparable; version-1
- * manifests called it "wall_ms" and still parse). "host_wall_ms", by
- * contrast, is real host time the bar took, and therefore
- * nondeterministic: producers emit it only in self-profiling runs
- * (--prof-out in an ISIM_PROF build) and the campaign merge never
- * copies it into campaign.json, so every bit-identity guarantee
- * (--jobs, --procs, resume) is unaffected. META keys a reader does
- * not know (such as the warm-up mode echo older producers wrote) are
- * ignored. "epochs" is present only when per-epoch sampling was
- * requested (--stats-epoch).
+ * manifests called it "wall_ms" and still parse). No field carries
+ * host time, so every bit-identity guarantee (--jobs, --procs,
+ * resume) holds; where host time goes is measured from outside by
+ * hostbench (hostbench/README.md, "Per-layer metrics"). META keys a
+ * reader does not know (such as the warm-up mode echo or the
+ * "host_wall_ms" older producers wrote) are ignored. "epochs" is
+ * present only when per-epoch sampling was requested (--stats-epoch).
  * Distribution values are nested objects; undefined quantiles (NaN)
  * serialize as JSON null.
  */
@@ -125,12 +123,6 @@ struct BarMeta
      * name "wall_ms" is accepted on parse.
      */
     double simWallMs = -1.0;
-    /**
-     * Host wall-clock the bar took (ms); < 0 = omit. Nondeterministic
-     * by nature — emitted only by self-profiling runs and never merged
-     * into campaign.json (see the file comment).
-     */
-    double hostWallMs = -1.0;
     /** Campaign merge only ("ok" / "failed"); "" = omit. */
     std::string status;
     /**

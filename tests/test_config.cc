@@ -30,6 +30,12 @@ TEST(ParseSizeDeathTest, Junk)
                 "malformed size");
     EXPECT_EXIT(parseSize(""), ::testing::ExitedWithCode(1),
                 "empty size");
+    // Past 2^64-1, in the digits or only once the suffix scales them.
+    EXPECT_EXIT(parseSize("99999999999999999999K", "machine.l2.size"),
+                ::testing::ExitedWithCode(1),
+                "machine.l2.size: .* out of range");
+    EXPECT_EXIT(parseSize("17179869184G"), ::testing::ExitedWithCode(1),
+                "out of range");
 }
 
 TEST(KvConfig, ParsesCommentsAndWhitespace)
@@ -69,6 +75,14 @@ TEST(KvConfigDeathTest, MalformedInput)
     const KvConfig kv = KvConfig::fromString("a = x\n");
     EXPECT_EXIT(kv.getUint("a", 0), ::testing::ExitedWithCode(1),
                 "expected integer");
+    const KvConfig big = KvConfig::fromString("t = 99999999999999999999\n");
+    EXPECT_EXIT(big.getUint("t", 0), ::testing::ExitedWithCode(1),
+                "t: .* out of range");
+    // Narrowed fields are bounded by their type, not wrapped.
+    EXPECT_EXIT(machineFromConfig(
+                    KvConfig::fromString("machine.cpus = 4294967298\n")),
+                ::testing::ExitedWithCode(1),
+                "machine.cpus: .* out of range");
     EXPECT_EXIT(kv.getBool("a", false), ::testing::ExitedWithCode(1),
                 "expected boolean");
     EXPECT_EXIT((void)kv.get("nope"), ::testing::ExitedWithCode(1),

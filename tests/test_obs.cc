@@ -5,10 +5,10 @@
  * last epochs, rebase after a stats reset), exporter well-formedness
  * (Chrome JSON parses back, CSV headers), the binary capture round
  * trip, and — end to end — that attaching observability to a machine
- * (or profiling the host) records events without perturbing the
- * simulated results, that a machine restored from a checkpoint
- * opens its timeline at the warm boundary, and that its epoch rows
- * sum to the registry counters the manifest reports.
+ * records events without perturbing the simulated results, that a
+ * machine restored from a checkpoint opens its timeline at the warm
+ * boundary, and that its epoch rows sum to the registry counters the
+ * manifest reports.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@
 #include "src/obs/ring.hh"
 #include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 namespace {
@@ -623,10 +622,9 @@ TEST(ObservedMachine, EpochRowsSumToRegistryCounters)
 TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
 {
     setQuiet(true);
-    // Host-side observability — runtime-enabled self-profiling AND an
-    // attached trace/timeline bundle — must leave the figure JSON
-    // BYTE-identical to a bare run. Host data goes to prof.json and
-    // the trace files, never into figure outputs.
+    // An attached trace/timeline bundle must leave the figure JSON
+    // BYTE-identical to a bare run. Host data goes to the trace
+    // files, never into figure outputs.
     FigureSpec spec;
     spec.id = "TestFig";
     spec.title = "obs bit-identity";
@@ -643,8 +641,6 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     const FigureResult bare = ExperimentRunner(options).run(spec);
     const std::string bareJson = figureToJson(bare);
 
-    const bool wasEnabled = prof::enabled();
-    prof::setEnabled(true);
     RunOptions instrumented = options;
     instrumented.obs.traceOutPath =
         testing::TempDir() + "/obs_bitid_trace.json";
@@ -653,7 +649,6 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     instrumented.obs.epochTicks = 200000;
     const FigureResult observed =
         ExperimentRunner(instrumented).run(spec);
-    prof::setEnabled(wasEnabled);
     std::remove(instrumented.obs.traceOutPath.c_str());
     std::remove(instrumented.obs.timelineOutPath.c_str());
 

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -37,6 +38,7 @@
 #include "src/campaign/queue.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/campaign/worker.hh"
+#include "src/config/options.hh"
 #include "src/stats/manifest.hh"
 
 namespace {
@@ -308,16 +310,9 @@ main(int argc, char **argv)
         config.exePath = argv0;
         config.options = opts;
         if (!stopAfterText.empty()) {
-            char *end = nullptr;
-            const long v = std::strtol(stopAfterText.c_str(), &end, 10);
-            if (end == stopAfterText.c_str() || *end != '\0' ||
-                v < 0) {
-                std::fprintf(stderr,
-                             "--stop-after: expected a non-negative "
-                             "integer\n");
-                return 2;
-            }
-            config.stopAfter = v;
+            config.stopAfter = static_cast<long>(
+                parseUintFlag("--stop-after", stopAfterText,
+                              std::numeric_limits<long>::max()));
         }
         opts.applyGlobal();
         return campaign::runCampaign(config);

@@ -15,14 +15,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/base/logging.hh"
+#include "src/config/options.hh"
 #include "src/obs/event.hh"
 #include "src/obs/export.hh"
 
@@ -61,19 +62,6 @@ flagValue(const char *arg, const char *flag, std::string &value)
         return false;
     value = arg + n + 1;
     return true;
-}
-
-std::uint64_t
-parseUint(const std::string &text, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        std::cerr << "itrace: " << what << ": expected an integer, got '"
-                  << text << "'\n";
-        std::exit(2);
-    }
-    return v;
 }
 
 bool
@@ -147,13 +135,17 @@ main(int argc, char **argv)
             }
             haveKind = true;
         } else if (flagValue(argv[i], "--cpu", v)) {
-            cpu = parseUint(v, "--cpu");
+            // Bounded by the event's field, so no value can alias the
+            // ~0 "no filter" sentinel.
+            cpu = parseUintFlag(
+                "--cpu", v,
+                std::numeric_limits<decltype(TraceEvent::cpu)>::max());
         } else if (flagValue(argv[i], "--from", v)) {
-            from = parseUint(v, "--from");
+            from = parseUintFlag("--from", v);
         } else if (flagValue(argv[i], "--to", v)) {
-            to = parseUint(v, "--to");
+            to = parseUintFlag("--to", v);
         } else if (flagValue(argv[i], "--limit", v)) {
-            limit = parseUint(v, "--limit");
+            limit = parseUintFlag("--limit", v);
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             setQuiet(true);
         } else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {

@@ -23,13 +23,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/config/options.hh"
 #include "src/verify/mcheck.hh"
 
 namespace {
 
+using isim::parseUintFlag;
 using isim::ProtocolMutation;
 using isim::verify::McheckConfig;
 using isim::verify::McheckResult;
@@ -144,22 +147,27 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto count = [&]() {
+            return static_cast<unsigned>(
+                parseUintFlag(arg.c_str(), value(),
+                              std::numeric_limits<unsigned>::max()));
+        };
         if (arg == "--preset") {
             preset_name = value();
         } else if (arg == "--nodes") {
-            cfg.numNodes = std::strtoul(value(), nullptr, 0);
+            cfg.numNodes = count();
         } else if (arg == "--cores") {
-            cfg.coresPerNode = std::strtoul(value(), nullptr, 0);
+            cfg.coresPerNode = count();
         } else if (arg == "--lines") {
-            cfg.dataLines = std::strtoul(value(), nullptr, 0);
+            cfg.dataLines = count();
         } else if (arg == "--no-code") {
             cfg.codeLine = false;
         } else if (arg == "--rac") {
             cfg.racEnabled = true;
         } else if (arg == "--vb") {
-            cfg.victimBufferEntries = std::strtoul(value(), nullptr, 0);
+            cfg.victimBufferEntries = count();
         } else if (arg == "--max-states") {
-            cfg.maxStates = std::strtoull(value(), nullptr, 0);
+            cfg.maxStates = parseUintFlag(arg.c_str(), value());
         } else if (arg == "--mutation") {
             if (!parseMutation(value(), cfg.mutation)) {
                 std::fprintf(stderr, "unknown mutation '%s'\n",
