@@ -8,10 +8,10 @@
  * Usage: cache_explorer [num_cpus] [transactions]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
+#include "examples/args.hh"
 #include "src/core/figures.hh"
 #include "src/core/machine.hh"
 #include "src/stats/table.hh"
@@ -21,11 +21,10 @@ main(int argc, char **argv)
 {
     using namespace isim;
 
-    const unsigned cpus =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 1;
+    const auto cpus = static_cast<unsigned>(
+        positiveArg(argc, argv, 1, "num_cpus", 1, kMaxExampleCpus));
     const std::uint64_t txns =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 400;
+        positiveArg(argc, argv, 2, "transactions", 400);
 
     const std::vector<std::uint64_t> sizes = {512 * kib, 1 * mib,
                                               2 * mib, 4 * mib,

@@ -7,9 +7,9 @@
  * Usage: noc_latency [num_nodes]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "examples/args.hh"
 #include "src/noc/network.hh"
 #include "src/stats/table.hh"
 
@@ -18,8 +18,10 @@ main(int argc, char **argv)
 {
     using namespace isim;
 
-    const unsigned nodes =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
+    // The matrices print one column per node; 64 is the largest
+    // torus the NoC ablation sweeps.
+    const auto nodes = static_cast<unsigned>(
+        positiveArg(argc, argv, 1, "num_nodes", 8, 64));
 
     const TorusTopology topo(nodes);
     const Network net(topo, LinkParams{});

@@ -6,9 +6,9 @@
  * Usage: quickstart [num_cpus] [transactions]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "examples/args.hh"
 #include "src/core/figures.hh"
 #include "src/core/machine.hh"
 
@@ -17,10 +17,10 @@ main(int argc, char **argv)
 {
     using namespace isim;
 
-    const unsigned cpus =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 1;
+    const auto cpus = static_cast<unsigned>(
+        positiveArg(argc, argv, 1, "num_cpus", 1, kMaxExampleCpus));
     const std::uint64_t txns =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 500;
+        positiveArg(argc, argv, 2, "transactions", 500);
 
     // The paper's Base machine: 1 GHz CPU, 64 KB 2-way L1s, an 8 MB
     // direct-mapped off-chip L2, all memory-system modules off chip.

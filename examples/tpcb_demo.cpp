@@ -9,9 +9,9 @@
  * Usage: tpcb_demo [num_cpus] [transactions]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "examples/args.hh"
 #include "src/core/figures.hh"
 #include "src/core/machine.hh"
 #include "src/stats/table.hh"
@@ -21,11 +21,10 @@ main(int argc, char **argv)
 {
     using namespace isim;
 
-    const unsigned cpus =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
+    const auto cpus = static_cast<unsigned>(
+        positiveArg(argc, argv, 1, "num_cpus", 8, kMaxExampleCpus));
     const std::uint64_t txns =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 1000;
+        positiveArg(argc, argv, 2, "transactions", 1000);
 
     MachineConfig cfg =
         figures::onchip(cpus, 2 * mib, 8, IntegrationLevel::FullInt);

@@ -6,12 +6,12 @@
  * the calibration story in DESIGN.md (hot head vs warm band vs cold
  * streams).
  *
- * Usage: workload_profile [num_cpus] [transactions]
+ * Usage: workload_profile [num_cpus] [transactions] [l2_mb l2_assoc]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "examples/args.hh"
 #include "src/core/figures.hh"
 #include "src/core/machine.hh"
 #include "src/stats/table.hh"
@@ -21,17 +21,24 @@ main(int argc, char **argv)
 {
     using namespace isim;
 
-    const unsigned cpus =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 1;
+    const auto cpus = static_cast<unsigned>(
+        positiveArg(argc, argv, 1, "num_cpus", 1, kMaxExampleCpus));
     const std::uint64_t txns =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 500;
+        positiveArg(argc, argv, 2, "transactions", 500);
 
     MachineConfig cfg = figures::baseMachine(cpus);
     if (argc > 4) {
-        cfg = figures::offchip(
-            cpus,
-            static_cast<std::uint64_t>(std::atoi(argv[3])) * mib,
-            static_cast<unsigned>(std::atoi(argv[4])));
+        const std::uint64_t l2_mb =
+            positiveArg(argc, argv, 3, "l2_mb", 0, 1024);
+        const std::uint64_t l2_assoc =
+            positiveArg(argc, argv, 4, "l2_assoc", 0, 64);
+        if (l2_mb * mib % (l2_assoc * 64) != 0)
+            isim_fatal("l2_assoc: %llu ways do not split %llu MB into "
+                       "whole sets of 64-byte lines",
+                       static_cast<unsigned long long>(l2_assoc),
+                       static_cast<unsigned long long>(l2_mb));
+        cfg = figures::offchip(cpus, l2_mb * mib,
+                               static_cast<unsigned>(l2_assoc));
     }
     cfg.workload.transactions = txns;
     cfg.workload.warmupTransactions = txns / 4;

@@ -72,7 +72,8 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
     plan.sample = options.sample;
 
     // Resolve figure ids like `isim-fig run` does (exact id first,
-    // then prefix expansion), deduplicated in resolution order.
+    // then prefix expansion), deduplicated in resolution order. Table
+    // entries (fig02, fig03, ablation-noc) have no bars to run.
     const FigureRegistry &registry = FigureRegistry::instance();
     std::vector<const FigureEntry *> entries;
     std::set<std::string> seenIds;
@@ -83,10 +84,14 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
             isim_fatal("campaign '%s': unknown figure '%s'",
                        spec.name.c_str(), id.c_str());
         for (const FigureEntry *entry : matches) {
-            if (seenIds.insert(entry->id).second)
+            if (entry->make && seenIds.insert(entry->id).second)
                 entries.push_back(entry);
         }
     }
+    if (entries.empty())
+        isim_fatal("campaign '%s': its figures are tables only; "
+                   "there are no bars to run",
+                   spec.name.c_str());
 
     // Seed axis outermost, figures in resolution order inside, bars
     // in figure order innermost. With no seed axis there is exactly

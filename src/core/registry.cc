@@ -1,9 +1,10 @@
 /**
  * @file
  * The figure/ablation/extension catalog. The paper figures delegate
- * to src/core/figures.cc; the ablations and extensions (formerly
- * built inline by their bench binaries) are assembled here, the
- * cross-product-shaped ones via SweepSpec.
+ * to src/core/figures.cc; the ablations and extensions are assembled
+ * here, the cross-product-shaped ones via SweepSpec. So are the
+ * tables that need no simulation: the paper's Figures 2 and 3 and the
+ * analytic interconnect ablation A2.
  */
 
 #include "src/core/registry.hh"
@@ -13,10 +14,137 @@
 #include "src/base/logging.hh"
 #include "src/core/figures.hh"
 #include "src/core/sweep.hh"
+#include "src/stats/table.hh"
+#include "src/timing/component_model.hh"
 
 namespace isim {
 
 namespace {
+
+// ---- Tables (no simulation: configuration and latency model) ----
+
+/** Figure 2: the Base system parameters and the TPC-B workload. */
+void
+figure2Table(std::ostream &os)
+{
+    const MachineConfig cfg = figures::baseMachine(figures::mpNodes);
+
+    Table t({"Base System Parameter", "Value"});
+    t.row().cell("Processor speed").cell("1 GHz");
+    t.row().cell("Cache line size").cell(
+        std::to_string(cfg.l2.lineBytes) + " bytes");
+    t.row().cell("L1 data cache size (on-chip)").cell("64 KB");
+    t.row().cell("L1 data cache associativity").cell("2-way");
+    t.row().cell("L1 instruction cache size (on-chip)").cell("64 KB");
+    t.row().cell("L1 instruction cache associativity").cell("2-way");
+    t.row().cell("L2 cache size (off-chip)").cell(
+        std::to_string(cfg.l2.sizeBytes / mib) + " MB");
+    t.row().cell("L2 cache associativity").cell(
+        std::to_string(cfg.l2.assoc) + "-way");
+    t.row().cell("Multiprocessor configuration").cell(
+        std::to_string(cfg.numCpus) + " processors");
+
+    os << "== Figure 2: Parameters for the Base system ==\n\n";
+    t.print(os);
+
+    os << "\nWorkload (paper Section 2.1):\n";
+    Table w({"Workload Parameter", "Value"});
+    const WorkloadParams &p = cfg.workload;
+    w.row().cell("TPC-B branches").count(p.branches);
+    w.row().cell("Tellers").count(p.totalTellers());
+    w.row().cell("Accounts").count(p.totalAccounts());
+    w.row().cell("Server processes per CPU").count(p.serversPerCpu);
+    w.row().cell("Measured transactions").count(p.transactions);
+    w.row().cell("Warm-up transactions").count(p.warmupTransactions);
+    w.print(os);
+}
+
+/**
+ * Figure 3: memory latencies per configuration, cross-checked against
+ * the component-level latency model (derived values, their worst
+ * relative error, and the path decomposition of each class).
+ */
+void
+figure3Table(std::ostream &os)
+{
+    struct Row
+    {
+        IntegrationLevel level;
+        L2Impl impl;
+        const char *name;
+    };
+    const Row rows[] = {
+        {IntegrationLevel::ConservativeBase, L2Impl::OffchipAssoc,
+         "Conservative Base"},
+        {IntegrationLevel::Base, L2Impl::OffchipDirect,
+         "Base (1-way L2)"},
+        {IntegrationLevel::Base, L2Impl::OffchipAssoc,
+         "Base (n-way L2)"},
+        {IntegrationLevel::L2Int, L2Impl::OnchipSram,
+         "L2 integrated (SRAM)"},
+        {IntegrationLevel::L2Int, L2Impl::OnchipDram,
+         "L2 integrated (DRAM)"},
+        {IntegrationLevel::L2McInt, L2Impl::OnchipSram,
+         "L2, MC integrated"},
+        {IntegrationLevel::FullInt, L2Impl::OnchipSram,
+         "L2, MC, CC/NR integrated"},
+    };
+
+    os << "== Figure 3: Memory latencies (cycles @1GHz == ns) ==\n\n";
+    Table t({"Configuration", "L2 Hit", "Local", "Remote",
+             "Remote Dirty"});
+    for (const Row &row : rows) {
+        const LatencyTable lat = figure3Latencies(row.level, row.impl);
+        t.row()
+            .cell(row.name)
+            .count(lat.l2Hit)
+            .count(lat.local)
+            .count(lat.remote)
+            .count(lat.remoteDirty);
+    }
+    t.print(os);
+
+    const ReductionVsBase red = fullIntegrationReduction();
+    os << "\nFull integration vs Base (paper Section 2.3: "
+          "1.67x / 1.33x / 1.17x / 1.38x):\n  L2 hit "
+       << formatNum(red.l2Hit, 2) << "x, local "
+       << formatNum(red.local, 2) << "x, remote "
+       << formatNum(red.remote, 2) << "x, dirty "
+       << formatNum(red.remoteDirty, 2) << "x\n";
+
+    const ComponentLatencyModel model(ComponentParams{}, 8);
+    os << "\n== Component-model derivation (8-node torus) ==\n\n";
+    Table d({"Configuration", "L2 Hit", "Local", "Remote", "Dirty",
+             "WorstErr%"});
+    for (const Row &row : rows) {
+        const LatencyTable lat = model.derive(row.level, row.impl);
+        d.row()
+            .cell(row.name)
+            .count(lat.l2Hit)
+            .count(lat.local)
+            .count(lat.remote)
+            .count(lat.remoteDirty)
+            .num(100.0 * model.worstRelativeError(row.level, row.impl));
+    }
+    d.print(os);
+
+    os << "\nPath decompositions (full integration):\n";
+    os << "  l2 hit : "
+       << model.l2HitPath(IntegrationLevel::FullInt, L2Impl::OnchipSram)
+              .describe()
+       << "\n";
+    os << "  local  : "
+       << model.localPath(IntegrationLevel::FullInt).describe() << "\n";
+    os << "  remote : "
+       << model.remotePath(IntegrationLevel::FullInt).describe() << "\n";
+    os << "  dirty  : "
+       << model.remoteDirtyPath(IntegrationLevel::FullInt,
+                                L2Impl::OnchipSram)
+              .describe()
+       << "\n";
+}
+
+// ---- Ablations (paper-adjacent what-if experiments) ----
 
 // ---- Ablations (paper-adjacent what-if experiments) ----
 
@@ -38,6 +166,71 @@ ablationAssoc(unsigned cpus)
     }
     spec.normalizeTo = 0;
     return spec;
+}
+
+/**
+ * A2: interconnect sensitivity through the component latency model —
+ * router hop cost, machine size and link bandwidth against the
+ * 2-hop / 3-hop latencies that Figures 6-13 measure.
+ */
+void
+ablationNocTable(std::ostream &os)
+{
+    os << "== Ablation A2: router hop cost vs remote latencies "
+          "(full integration, 8-node torus) ==\n\n";
+    Table t({"RouterDelay", "LinkFlight", "Remote", "RemoteDirty",
+             "Dirty/Remote"});
+    for (Cycles hop : {2u, 5u, 10u, 20u, 40u}) {
+        ComponentParams params;
+        params.link.routerDelay = hop;
+        const ComponentLatencyModel model(params, 8);
+        const LatencyTable lat =
+            model.derive(IntegrationLevel::FullInt, L2Impl::OnchipSram);
+        t.row()
+            .count(hop)
+            .count(params.link.linkFlight)
+            .count(lat.remote)
+            .count(lat.remoteDirty)
+            .num(static_cast<double>(lat.remoteDirty) /
+                     static_cast<double>(lat.remote),
+                 2);
+    }
+    t.print(os);
+
+    os << "\n== Machine-size scaling (average hops grow with "
+          "the torus) ==\n\n";
+    Table s({"Nodes", "Torus", "AvgHops", "Diameter", "Remote",
+             "RemoteDirty"});
+    for (unsigned nodes : {2u, 4u, 8u, 16u, 32u, 64u}) {
+        const ComponentLatencyModel model(ComponentParams{}, nodes);
+        const TorusTopology &topo = model.network().topology();
+        const LatencyTable lat =
+            model.derive(IntegrationLevel::FullInt, L2Impl::OnchipSram);
+        s.row()
+            .count(nodes)
+            .cell(std::to_string(topo.width()) + "x" +
+                  std::to_string(topo.height()))
+            .num(topo.averageHops(), 2)
+            .count(topo.diameter())
+            .count(lat.remote)
+            .count(lat.remoteDirty);
+    }
+    s.print(os);
+
+    os << "\n== Link bandwidth vs serialization (64B line) ==\n\n";
+    Table b({"GB/s", "Serialization", "Remote"});
+    for (double gbs : {1.0, 2.0, 4.0, 8.0}) {
+        ComponentParams params;
+        params.link.bandwidthGBs = gbs;
+        const ComponentLatencyModel model(params, 8);
+        b.row()
+            .num(gbs, 0)
+            .count(model.network().serialization(64))
+            .count(model.derive(IntegrationLevel::FullInt,
+                                L2Impl::OnchipSram)
+                       .remote);
+    }
+    b.print(os);
 }
 
 /** A3: OS page colouring vs direct-mapped conflicts (sweep). */
@@ -248,10 +441,21 @@ FigureRegistry::FigureRegistry()
                          std::function<FigureSpec()> make,
                          std::string note = "") {
         entries_.push_back({std::move(id), std::move(description),
-                            std::move(note), std::move(make)});
+                            std::move(note), std::move(make), {}});
     };
+    const auto addTable =
+        [&](std::string id, std::string description,
+            std::function<void(std::ostream &)> table) {
+            entries_.push_back({std::move(id), std::move(description),
+                                "", {}, std::move(table)});
+        };
 
-    // The paper's figures.
+    // The paper's tables and figures.
+    addTable("fig02", "Figure 2: parameters of the Base system (table)",
+             figure2Table);
+    addTable("fig03", "Figure 3: memory latencies per configuration "
+                      "(table)",
+             figure3Table);
     add("fig05", "Figure 5: off-chip L2 sweep, uniprocessor",
         figures::figure5);
     add("fig06", "Figure 6: off-chip L2 sweep, 8 processors",
@@ -279,6 +483,10 @@ FigureRegistry::FigureRegistry()
     add("ablation-assoc-mp",
         "A1: associativity sweep, 2MB on-chip L2, 8 processors",
         [] { return ablationAssoc(figures::mpNodes); });
+    addTable("ablation-noc",
+             "A2: router hop cost, torus size and link bandwidth vs "
+             "remote latencies (table)",
+             ablationNocTable);
     add("ablation-coloring",
         "A3: OS page colouring vs direct-mapped conflicts",
         ablationColoring, coloringNote);

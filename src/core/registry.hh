@@ -5,13 +5,16 @@
  * ("fig10-uni", "ablation-victim", "ext-cmp"). Adding an experiment
  * means registering one factory here — no new bench binary or CMake
  * target — and it becomes runnable via `isim-fig run <id>` and
- * enumerable via `isim-fig list`.
+ * enumerable via `isim-fig list`. The paper's parameter and latency
+ * tables (and the analytic NoC ablation) are entries too: they print
+ * a table instead of running bars.
  */
 
 #ifndef ISIM_CORE_REGISTRY_HH
 #define ISIM_CORE_REGISTRY_HH
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,14 +22,17 @@
 
 namespace isim {
 
-/** One catalog entry. */
+/** One catalog entry: exactly one of `make` and `table` is set. */
 struct FigureEntry
 {
     std::string id;          //!< unique kebab-case key, e.g. "fig05"
     std::string description; //!< one line for `isim-fig list`
     /** Optional commentary printed after the figure's report. */
     std::string note;
+    /** Builds the figure's bars (a simulated experiment). */
     std::function<FigureSpec()> make;
+    /** Prints a table that needs no simulation (no bars, no JSON). */
+    std::function<void(std::ostream &)> table;
 };
 
 /** Immutable catalog built once at first use. */

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/json.hh"
@@ -333,6 +334,39 @@ TEST(CampaignExpand, UnknownFigureIsFatal)
     const campaign::CampaignSpec spec = specFromText(
         R"({"schema": "isim-campaign", "version": 1, "name": "t",
             "figures": ["no-such-figure"]})");
+    EXPECT_THROW(campaign::expandCampaign(spec, quickOptions()),
+                 PanicError);
+}
+
+TEST(CampaignExpand, TableEntriesAddNoBars)
+{
+    // "ablation" also resolves to the ablation-noc table; the plan
+    // holds exactly the five simulated ablations' bars, in order.
+    const campaign::CampaignSpec spec = specFromText(
+        R"({"schema": "isim-campaign", "version": 1, "name": "t",
+            "figures": ["ablation"]})");
+    const campaign::CampaignPlan plan =
+        campaign::expandCampaign(spec, quickOptions());
+    const std::vector<std::pair<std::string, std::size_t>> expected = {
+        {"ablation-assoc-uni", 5}, {"ablation-assoc-mp", 5},
+        {"ablation-coloring", 6},  {"ablation-victim", 5},
+        {"ablation-bandwidth", 8},
+    };
+    std::vector<std::pair<std::string, std::size_t>> got;
+    for (const campaign::CampaignBar &bar : plan.bars) {
+        if (got.empty() || got.back().first != bar.figureId)
+            got.emplace_back(bar.figureId, 0);
+        ++got.back().second;
+    }
+    EXPECT_EQ(got, expected);
+}
+
+TEST(CampaignExpand, TablesOnlySpecIsFatal)
+{
+    ScopedPanicThrow guard;
+    const campaign::CampaignSpec spec = specFromText(
+        R"({"schema": "isim-campaign", "version": 1, "name": "t",
+            "figures": ["fig02"]})");
     EXPECT_THROW(campaign::expandCampaign(spec, quickOptions()),
                  PanicError);
 }

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the figure registry (catalog completeness, id
- * resolution) and for SweepSpec cross-product expansion.
+ * resolution, the table entries' text) and for SweepSpec
+ * cross-product expansion.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,7 +32,8 @@ TEST(Registry, EveryBenchIdResolves)
         "ablation-assoc",  "ablation-victim",
         "ablation-coloring", "ablation-bandwidth",
         "ext-cmp",         "ext-dss",
-        "ext-prefetch",
+        "ext-prefetch",    "fig02",
+        "fig03",           "ablation-noc",
     };
     const FigureRegistry &registry = FigureRegistry::instance();
     for (const std::string &id : ids) {
@@ -47,13 +51,16 @@ TEST(Registry, IdsAreUniqueAndEntriesWellFormed)
         EXPECT_TRUE(seen.insert(e.id).second)
             << "duplicate id " << e.id;
         EXPECT_FALSE(e.description.empty()) << e.id;
-        ASSERT_TRUE(e.make) << e.id;
+        EXPECT_NE(static_cast<bool>(e.make), static_cast<bool>(e.table))
+            << e.id << ": exactly one of make/table must be set";
     }
 }
 
 TEST(Registry, FactoriesProduceRunnableSpecs)
 {
     for (const FigureEntry &e : FigureRegistry::instance().entries()) {
+        if (!e.make)
+            continue;
         const FigureSpec spec = e.make();
         EXPECT_FALSE(spec.id.empty()) << e.id;
         ASSERT_FALSE(spec.bars.empty()) << e.id;
@@ -62,6 +69,28 @@ TEST(Registry, FactoriesProduceRunnableSpecs)
             EXPECT_GE(bar.config.numCpus, 1u)
                 << e.id << " bar " << bar.config.name;
         }
+    }
+}
+
+TEST(Registry, TablesMatchTheirGoldenText)
+{
+    // tests/golden/tables/<id>.txt holds the exact stdout of
+    // `isim-fig run <id>`; the tables carry the paper's Figures 2
+    // and 3, so any drift in their text is a visible change.
+    for (const char *id : {"fig02", "fig03", "ablation-noc"}) {
+        const FigureEntry *e = FigureRegistry::instance().find(id);
+        ASSERT_NE(e, nullptr) << id;
+        ASSERT_TRUE(e->table) << id;
+        std::ostringstream rendered;
+        e->table(rendered);
+
+        const std::string path = std::string(ISIM_SOURCE_DIR) +
+                                 "/tests/golden/tables/" + id + ".txt";
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.is_open()) << path;
+        std::ostringstream golden;
+        golden << in.rdbuf();
+        EXPECT_EQ(rendered.str(), golden.str()) << id;
     }
 }
 

@@ -14,12 +14,15 @@
  * and fig10-mp; "ablation" runs every ablation). Options are the
  * shared run flags (--txns, --warmup, --seed, --jobs, --json-dir,
  * --quiet, --audit-period, ...) and the observability capture flags;
- * no environment variable is read.
+ * no environment variable is read. Table entries (fig02, fig03,
+ * ablation-noc) run no simulation: they print their table and ignore
+ * the run flags, --json-dir and --stats-out included.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -92,7 +95,15 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
             }
         }
     }
-    for (const FigureEntry *e : selected) {
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+        const FigureEntry *e = selected[i];
+        if (e->table) {
+            e->table(std::cout);
+            // Figure reports end in a blank line; a table does not.
+            if (i + 1 < selected.size())
+                std::cout << '\n';
+            continue;
+        }
         const int rc = isim::runFigureAndPrint(e->make(), opts);
         if (rc != 0)
             return rc;
