@@ -1,15 +1,18 @@
 /**
  * @file
- * Workload characterization: runs the OLTP workload on a machine with
- * VM region profiling enabled and prints, per memory region, the
- * access volume and the unique-line footprint — the numbers behind
- * the calibration story in DESIGN.md (hot head vs warm band vs cold
- * streams).
+ * Workload characterization: runs the OLTP workload and prints, per
+ * memory region, the measured window's L2 misses per transaction by
+ * class, read from the `miss.region.*` stats — the numbers behind the
+ * calibration story in DESIGN.md (hot head vs warm band vs cold
+ * streams) and behind each figure bar's data-structure breakdown.
  *
  * Usage: workload_profile [num_cpus] [transactions] [l2_mb l2_assoc]
  */
 
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "examples/args.hh"
 #include "src/core/figures.hh"
@@ -44,50 +47,47 @@ main(int argc, char **argv)
     cfg.workload.warmupTransactions = txns / 4;
 
     Machine machine(cfg);
-    machine.vm().enableProfiling(true);
-    std::vector<std::uint64_t> region_misses(64, 0);
-    machine.memSys().setMissHook(
-        [&](Addr paddr, RefType, MissClass) {
-            const int idx = machine.vm().regionIndexOfPaddr(paddr);
-            if (idx >= 0 &&
-                idx < static_cast<int>(region_misses.size()))
-                ++region_misses[idx];
-        });
     const RunResult r = machine.run();
     const auto committed =
         static_cast<std::uint64_t>(r.stat("oltp.txn.committed"));
+    const double per_txn =
+        1.0 / static_cast<double>(committed ? committed : 1);
 
     std::cout << "profiled " << committed << " transactions on " << cpus
               << " cpu(s); "
               << static_cast<std::uint64_t>(r.stat("cpu.instructions"))
               << " instructions\n\n";
 
-    Table t({"Region", "Policy", "Size(KB)", "Accesses", "Acc/txn",
-             "UniqLines", "Uniq(KB)", "Misses", "Miss/txn"});
-    std::uint64_t total_lines = 0;
-    std::size_t region_idx = 0;
-    for (const auto &p : machine.vm().regionProfiles()) {
-        const char *policy =
-            p.policy == PlacePolicy::Interleave ? "stripe"
-            : p.policy == PlacePolicy::Local    ? "local"
-                                                : "repl";
-        t.row()
-            .cell(p.name)
-            .cell(policy)
-            .count(p.size / 1024)
-            .count(p.accesses)
-            .num(static_cast<double>(p.accesses) /
-                 static_cast<double>(committed ? committed : 1))
-            .count(p.uniqueLines)
-            .count(p.uniqueLines * 64 / 1024)
-            .count(region_misses[region_idx])
-            .num(static_cast<double>(region_misses[region_idx]) /
-                 static_cast<double>(committed ? committed : 1));
-        total_lines += p.uniqueLines;
-        ++region_idx;
+    const char *const leaves[] = {"instr_local", "instr_remote", "local",
+                                  "remote_clean", "remote_dirty"};
+    std::vector<std::string> header{"Region", "Policy", "Size(KB)"};
+    header.insert(header.end(), std::begin(leaves), std::end(leaves));
+    header.push_back("Miss/txn");
+    Table t(header);
+    // One row per stat prefix: a region's miss.region.<name>.* leaves,
+    // or the machine-wide l2.miss.* leaves they sum to.
+    auto row = [&](const std::string &label, const std::string &policy,
+                   const std::string &size_kb, const std::string &prefix) {
+        auto cells = t.row();
+        cells.cell(label).cell(policy).cell(size_kb);
+        double total = 0;
+        for (const char *leaf : leaves) {
+            const double misses = r.stat(prefix + leaf);
+            cells.num(misses * per_txn, 2);
+            total += misses;
+        }
+        cells.num(total * per_txn, 2);
+    };
+    for (const VirtualMemory::Region &region : machine.vm().regions()) {
+        row(region.name,
+            region.policy == PlacePolicy::Interleave ? "stripe"
+            : region.policy == PlacePolicy::Local    ? "local"
+                                                     : "repl",
+            std::to_string((region.vend - region.vbase) / 1024),
+            "miss.region." + region.name + ".");
     }
+    row("other", "stripe", "-", "miss.region.other.");
+    row("all", "", "", "l2.miss.");
     t.print(std::cout);
-    std::cout << "\ntotal unique footprint: " << total_lines * 64 / 1024
-              << " KB\n";
     return 0;
 }

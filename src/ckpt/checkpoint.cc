@@ -8,6 +8,7 @@
 
 #include <fstream>
 
+#include "src/base/intmath.hh"
 #include "src/base/logging.hh"
 #include "src/core/machine.hh"
 #include "src/core/simulation.hh"
@@ -206,6 +207,12 @@ readConfig(Deserializer &d)
     c.mcOccupancy = d.u64();
     c.replicateCode = d.b();
     c.nodeShift = d.u32();
+    // The VM keeps a frame-table byte per page of node memory: more
+    // than 2^34 bytes (a 2 MiB table) or a single page is corruption.
+    if (c.nodeShift > 34 ||
+        c.nodeShift <= floorLog2(VmConfig{}.pageBytes))
+        isim_fatal("checkpoint node window of 2^%u bytes is out of range",
+                   c.nodeShift);
     c.pageColors = d.u32();
     c.workload = readWorkload(d);
     return c;

@@ -234,10 +234,21 @@ MemorySystem::rac(NodeId node) const
 }
 
 void
+MemorySystem::setFrameRegions(const std::uint8_t *frame_regions,
+                              unsigned page_shift, unsigned codes)
+{
+    isim_assert(page_shift >= lineBits_, "pages smaller than a line");
+    frameRegions_ = frame_regions;
+    regionShift_ = page_shift - lineBits_;
+    regionMisses_.assign(codes, NodeProtocolStats{});
+}
+
+void
 MemorySystem::resetStats()
 {
     transitionCount_ = 0;
     nocStats_ = NocCounters{};
+    regionMisses_.assign(regionMisses_.size(), NodeProtocolStats{});
     for (auto &node : nodes_) {
         node->stats = NodeProtocolStats{};
         for (auto &c : node->l1i)
@@ -403,29 +414,28 @@ void
 MemorySystem::countMiss(NodeId node, RefType type, MissClass cls,
                         Addr line_addr)
 {
-    if (missHook_)
-        missHook_(line_addr << lineBits_, type, cls);
-    NodeProtocolStats &s = nodes_[node]->stats;
     const bool instr = type == RefType::IFetch;
+    std::uint64_t NodeProtocolStats::*counter;
     switch (cls) {
       case MissClass::Local:
-        if (instr)
-            ++s.instrLocal;
-        else
-            ++s.dataLocal;
+        counter = instr ? &NodeProtocolStats::instrLocal
+                        : &NodeProtocolStats::dataLocal;
         break;
       case MissClass::RemoteClean:
-        if (instr)
-            ++s.instrRemote;
-        else
-            ++s.dataRemoteClean;
+        counter = instr ? &NodeProtocolStats::instrRemote
+                        : &NodeProtocolStats::dataRemoteClean;
         break;
       case MissClass::RemoteDirty:
         isim_assert(!instr, "instruction fetch hit dirty data");
-        ++s.dataRemoteDirty;
+        counter = &NodeProtocolStats::dataRemoteDirty;
         break;
       default:
         isim_panic("countMiss on non-miss class");
+    }
+    ++(nodes_[node]->stats.*counter);
+    if (frameRegions_ != nullptr) {
+        const std::uint8_t code = frameRegions_[line_addr >> regionShift_];
+        ++(regionMisses_[std::max<std::uint8_t>(code, 1)].*counter);
     }
 }
 

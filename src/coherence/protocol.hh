@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -281,12 +280,23 @@ class MemorySystem
     void restoreState(ckpt::Deserializer &d);
 
     /**
-     * Optional observer invoked on every counted L2 miss (profiling;
-     * adds one indirect call per miss when set).
+     * Also count each classified miss against its page's VM region:
+     * `frame_regions` is VirtualMemory::frameRegions() (`codes` codes,
+     * indexed by paddr >> `page_shift`) and must outlive this system.
+     * A free frame (code 0, met only via raw paddrs) counts as "other".
      */
-    using MissHook = std::function<void(Addr paddr, RefType type,
-                                        MissClass cls)>;
-    void setMissHook(MissHook hook) { missHook_ = std::move(hook); }
+    void setFrameRegions(const std::uint8_t *frame_regions,
+                         unsigned page_shift, unsigned codes);
+
+    /** A region code's misses in the five per-class counters. */
+    const NodeProtocolStats &regionMisses(unsigned code) const
+    {
+        return regionMisses_[code];
+    }
+    unsigned regionCodes() const
+    {
+        return static_cast<unsigned>(regionMisses_.size());
+    }
 
     /**
      * Attach the observability tracer (nullptr detaches). Tracing
@@ -410,8 +420,12 @@ class MemorySystem
 
     // ckpt: transient(tracer_): observer hook, reattached by the harness
     obs::Tracer *tracer_ = nullptr;
-    // ckpt: transient(missHook_): verification callback, reinstalled per run
-    MissHook missHook_;
+    // ckpt: transient(frameRegions_): wiring pointer to the VM frame table
+    const std::uint8_t *frameRegions_ = nullptr;
+    // ckpt: transient(regionShift_): derived from the page size at wiring
+    unsigned regionShift_ = 0; //!< line address -> frame number
+    // ckpt: transient(regionMisses_): zero at the warm boundary (image time)
+    std::vector<NodeProtocolStats> regionMisses_; //!< by region code
     // ckpt: transient(mutation_): fault-injection setting, reapplied per run
     ProtocolMutation mutation_ = ProtocolMutation::None;
     std::uint64_t transitionCount_ = 0;

@@ -73,6 +73,8 @@ Machine::Machine(const MachineConfig &config) : config_(config)
     msc.lat = config_.latencies();
     msc.nodeShift = config_.nodeShift;
     memSys_ = std::make_unique<MemorySystem>(msc);
+    memSys_->setFrameRegions(vm_->frameRegions(), vm_->pageShift(),
+                             vm_->regionCodes());
 
     cpus_.reserve(config_.numCpus);
     for (NodeId n = 0; n < config_.numCpus; ++n) {
@@ -184,26 +186,46 @@ Machine::buildRegistry()
         memSys_->l1d(c).counters().registerStats(registry_,
                                                  cpu + ".l1d");
     }
-    // Machine-wide miss-class aggregates (what the figures plot).
+    // Machine-wide miss-class aggregates (what the figures plot), and
+    // the same five leaves per VM region ("other": outside them all).
     auto missSum = [this](std::uint64_t NodeProtocolStats::*field) {
         return [this, field] { return memSys_->aggregateStats().*field; };
     };
+    const struct
+    {
+        const char *leaf;
+        const char *desc;
+        std::uint64_t NodeProtocolStats::*field;
+    } leaves[] = {
+        {"instr_local", "instruction misses to the local home",
+         &NodeProtocolStats::instrLocal},
+        {"instr_remote", "instruction misses to a remote home",
+         &NodeProtocolStats::instrRemote},
+        {"local", "data misses satisfied locally",
+         &NodeProtocolStats::dataLocal},
+        {"remote_clean", "2-hop data misses",
+         &NodeProtocolStats::dataRemoteClean},
+        {"remote_dirty", "3-hop data misses",
+         &NodeProtocolStats::dataRemoteDirty},
+    };
+    auto regionStats = [&](std::uint8_t code, const std::string &name) {
+        for (const auto &l : leaves) {
+            registry_.counter("miss.region." + name + "." + l.leaf,
+                              std::string(l.desc) + ", region " + name,
+                              "misses", [this, code, f = l.field] {
+                                  return memSys_->regionMisses(code).*f;
+                              });
+        }
+    };
+    for (const auto &l : leaves) {
+        registry_.counter(std::string("l2.miss.") + l.leaf,
+                          std::string(l.desc) + ", all nodes", "misses",
+                          missSum(l.field));
+    }
+    regionStats(VirtualMemory::otherRegion, "other");
+    for (const VirtualMemory::Region &r : vm_->regions())
+        regionStats(r.code, r.name);
     registry_
-        .counter("l2.miss.instr_local",
-                 "instruction misses to the local home, all nodes",
-                 "misses", missSum(&NodeProtocolStats::instrLocal))
-        .counter("l2.miss.instr_remote",
-                 "instruction misses to a remote home, all nodes",
-                 "misses", missSum(&NodeProtocolStats::instrRemote))
-        .counter("l2.miss.local",
-                 "data misses satisfied locally, all nodes", "misses",
-                 missSum(&NodeProtocolStats::dataLocal))
-        .counter("l2.miss.remote_clean",
-                 "2-hop data misses, all nodes", "misses",
-                 missSum(&NodeProtocolStats::dataRemoteClean))
-        .counter("l2.miss.remote_dirty",
-                 "3-hop data misses, all nodes", "misses",
-                 missSum(&NodeProtocolStats::dataRemoteDirty))
         .counter("l2.miss.total", "L2 misses, all nodes and classes",
                  "misses",
                  [this] {

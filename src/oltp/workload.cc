@@ -38,7 +38,8 @@ OltpEngine::OltpEngine(const WorkloadParams &params, VirtualMemory &vm,
     // and per-CPU kernel data are first-touch local; text is
     // replicated per node only when the Section 6 experiment asks.
     // SGA sub-regions are registered individually (same interleaved
-    // placement) so VM profiling can attribute traffic per structure.
+    // placement) so the miss.region.* stats attribute misses per
+    // structure.
     const Addr sga_end = layout::sgaBase + sga_.totalBytes();
     auto sga_region = [&](Addr base, Addr next, const char *name) {
         isim_assert(next > base && next <= sga_end + 8 * kib);

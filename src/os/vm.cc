@@ -21,8 +21,9 @@ constexpr Addr unmappedFrame = ~Addr{0};
 
 VirtualMemory::VirtualMemory(const VmConfig &config)
     : config_(config), pageShift_(floorLog2(config.pageBytes)),
-      rng_(config.seed), usedFrames_(config.homeMap.numNodes),
-      allocCount_(config.homeMap.numNodes, 0), tlb_(tlbSize)
+      rng_(config.seed), allocCount_(config.homeMap.numNodes, 0),
+      frameRegions_(config.homeMap.numNodes * framesPerNode(), freeFrame),
+      tlb_(tlbSize)
 {
     isim_assert(isPowerOf2(config_.pageBytes));
     pages_.reserve(1 << 16);
@@ -33,25 +34,24 @@ VirtualMemory::setPolicy(Addr vbase, std::uint64_t size, PlacePolicy policy,
                          std::string name)
 {
     isim_assert(size > 0);
+    isim_assert(((vbase | size) & (config_.pageBytes - 1)) == 0,
+                "VM region is not whole pages");
+    isim_assert(regionCodes() <= 0xff, "too many VM regions");
     const Addr vend = vbase + size;
     for (const Region &r : regions_) {
         isim_assert(vend <= r.vbase || vbase >= r.vend,
                     "overlapping VM regions");
     }
-    Region region;
-    region.vbase = vbase;
-    region.vend = vend;
-    region.policy = policy;
-    region.name = std::move(name);
-    regions_.push_back(std::move(region));
+    regions_.push_back(Region{vbase, vend, policy, std::move(name),
+                              static_cast<std::uint8_t>(regionCodes())});
     std::sort(regions_.begin(), regions_.end(),
               [](const Region &a, const Region &b) {
                   return a.vbase < b.vbase;
               });
 }
 
-VirtualMemory::Region *
-VirtualMemory::regionOf(Addr vaddr)
+const VirtualMemory::Region *
+VirtualMemory::regionOf(Addr vaddr) const
 {
     // Binary search over sorted, non-overlapping regions.
     auto it = std::upper_bound(
@@ -65,31 +65,14 @@ VirtualMemory::regionOf(Addr vaddr)
     return nullptr;
 }
 
-std::vector<VirtualMemory::RegionProfile>
-VirtualMemory::regionProfiles() const
-{
-    std::vector<RegionProfile> out;
-    out.reserve(regions_.size());
-    for (const Region &r : regions_) {
-        RegionProfile p;
-        p.name = r.name.empty() ? "(unnamed)" : r.name;
-        p.vbase = r.vbase;
-        p.size = r.vend - r.vbase;
-        p.policy = r.policy;
-        p.accesses = r.accesses;
-        p.uniqueLines = r.lines.size();
-        out.push_back(std::move(p));
-    }
-    return out;
-}
-
 Addr
-VirtualMemory::allocFrame(NodeId node, std::uint64_t color_hint)
+VirtualMemory::allocFrame(NodeId node, std::uint64_t color_hint,
+                          std::uint8_t code)
 {
-    const std::uint64_t frames_per_node =
-        config_.homeMap.nodeWindow() >> pageShift_;
-    auto &used = usedFrames_[node];
-    isim_assert(used.size() < frames_per_node, "node memory exhausted");
+    const std::uint64_t frames_per_node = framesPerNode();
+    isim_assert(allocCount_[node] < frames_per_node,
+                "node memory exhausted");
+    std::uint8_t *slice = frameRegions_.data() + node * frames_per_node;
     std::uint64_t frame;
     if (config_.pageColors > 1) {
         // Colour-constrained placement: random frame within the
@@ -101,14 +84,15 @@ VirtualMemory::allocFrame(NodeId node, std::uint64_t color_hint)
         const std::uint64_t per_color = frames_per_node / colors;
         do {
             frame = rng_.below(per_color) * colors + color;
-        } while (!used.insert(frame).second);
+        } while (slice[frame] != freeFrame);
     } else {
         // Pseudo-random placement (no colouring); retries are rare at
         // realistic occupancies.
         do {
             frame = rng_.below(frames_per_node);
-        } while (!used.insert(frame).second);
+        } while (slice[frame] != freeFrame);
     }
+    slice[frame] = code;
     ++allocCount_[node];
     return config_.homeMap.nodeBase(node) +
            (frame << pageShift_);
@@ -117,7 +101,7 @@ VirtualMemory::allocFrame(NodeId node, std::uint64_t color_hint)
 Addr
 VirtualMemory::translate(Addr vaddr, NodeId core)
 {
-    const NodeId node = nodeOfCore(core);
+    const NodeId node = core / config_.coresPerNode;
     const std::uint64_t vpn = vaddr >> pageShift_;
     const Addr offset = vaddr & (config_.pageBytes - 1);
 
@@ -140,28 +124,21 @@ VirtualMemory::translate(Addr vaddr, NodeId core)
         color_hint = local + seg_salt + mix64(chunk + seg_salt);
     }
 
-    Region *prof_region = nullptr;
-    if (profiling_) {
-        if ((prof_region = regionOf(vaddr)) != nullptr) {
-            ++prof_region->accesses;
-            prof_region->lines.insert(vaddr >> 6);
-        }
-    }
-
     TlbEntry &te = tlb_[(vpn ^ (node * 0x9e37ULL)) % tlbSize];
     if (te.vpn == vpn && te.node == node)
         return te.frame + offset;
 
     Addr frame;
-    PlacePolicy policy = PlacePolicy::Interleave;
-    if (const Region *r = regionOf(vaddr))
-        policy = r->policy;
+    const Region *r = regionOf(vaddr);
+    const PlacePolicy policy =
+        r != nullptr ? r->policy : PlacePolicy::Interleave;
+    const std::uint8_t code = r != nullptr ? r->code : otherRegion;
     if (policy == PlacePolicy::Replicate) {
         auto &copies = replicated_[vpn];
         if (copies.empty())
             copies.assign(config_.homeMap.numNodes, unmappedFrame);
         if (copies[node] == unmappedFrame)
-            copies[node] = allocFrame(node, color_hint);
+            copies[node] = allocFrame(node, color_hint, code);
         frame = copies[node];
     } else {
         auto it = pages_.find(vpn);
@@ -175,15 +152,9 @@ VirtualMemory::translate(Addr vaddr, NodeId core)
                 target = static_cast<NodeId>(
                     vpn % config_.homeMap.numNodes);
             }
-            frame = allocFrame(target, color_hint);
+            frame = allocFrame(target, color_hint, code);
             pages_.emplace(vpn, frame);
         }
-    }
-
-    if (profiling_ && prof_region != nullptr) {
-        frameRegion_.emplace(
-            frame >> pageShift_,
-            static_cast<std::uint16_t>(prof_region - regions_.data()));
     }
 
     te.vpn = vpn;
@@ -192,17 +163,18 @@ VirtualMemory::translate(Addr vaddr, NodeId core)
     return frame + offset;
 }
 
-int
-VirtualMemory::regionIndexOfPaddr(Addr paddr) const
+std::vector<std::uint64_t>
+VirtualMemory::usedFrames(NodeId node) const
 {
-    auto it = frameRegion_.find(paddr >> pageShift_);
-    return it == frameRegion_.end() ? -1 : static_cast<int>(it->second);
-}
-
-std::uint64_t
-VirtualMemory::framesAllocated(NodeId node) const
-{
-    return allocCount_[node];
+    std::vector<std::uint64_t> used;
+    used.reserve(allocCount_[node]);
+    const std::uint8_t *slice =
+        frameRegions_.data() + node * framesPerNode();
+    for (std::uint64_t pfn = 0; pfn < framesPerNode(); ++pfn) {
+        if (slice[pfn] != freeFrame)
+            used.push_back(pfn);
+    }
+    return used;
 }
 
 namespace {
@@ -242,12 +214,11 @@ VirtualMemory::saveState(ckpt::Serializer &s) const
         for (Addr frame : copies)
             s.u64(frame);
     }
-    s.u64(usedFrames_.size());
-    for (const auto &frames : usedFrames_) {
-        std::vector<std::uint64_t> sorted(frames.begin(), frames.end());
-        std::sort(sorted.begin(), sorted.end());
-        s.u64(sorted.size());
-        for (std::uint64_t pfn : sorted)
+    s.u64(allocCount_.size());
+    for (NodeId n = 0; n < allocCount_.size(); ++n) {
+        const std::vector<std::uint64_t> used = usedFrames(n);
+        s.u64(used.size());
+        for (std::uint64_t pfn : used)
             s.u64(pfn);
     }
 }
@@ -260,28 +231,47 @@ VirtualMemory::restoreState(ckpt::Deserializer &d)
         isim_fatal("checkpoint VM node count mismatch");
     for (std::uint64_t &n : allocCount_)
         n = d.u64();
+
+    // The frame table is rebuilt from the page tables as they are
+    // read, and must then hold exactly the image's used-frame lists.
+    std::fill(frameRegions_.begin(), frameRegions_.end(), freeFrame);
+    auto map = [&](std::uint64_t vpn, Addr frame) {
+        const std::uint64_t pfn = frame >> pageShift_;
+        if (frame % config_.pageBytes != 0 ||
+            pfn >= frameRegions_.size() || frameRegions_[pfn] != freeFrame)
+            isim_fatal("checkpoint VM page tables map an invalid or "
+                       "shared frame");
+        const Region *r = regionOf(vpn << pageShift_);
+        frameRegions_[pfn] = r != nullptr ? r->code : otherRegion;
+    };
     pages_.clear();
     const std::uint64_t npages = d.u64();
     for (std::uint64_t i = 0; i < npages; ++i) {
         const std::uint64_t vpn = d.u64();
-        pages_[vpn] = d.u64();
+        map(vpn, pages_[vpn] = d.u64());
     }
     replicated_.clear();
     const std::uint64_t nrepl = d.u64();
     for (std::uint64_t i = 0; i < nrepl; ++i) {
         const std::uint64_t vpn = d.u64();
         std::vector<Addr> copies(d.u64());
-        for (Addr &frame : copies)
+        for (Addr &frame : copies) {
             frame = d.u64();
+            if (frame != unmappedFrame)
+                map(vpn, frame);
+        }
         replicated_[vpn] = std::move(copies);
     }
-    if (d.u64() != usedFrames_.size())
+    if (d.u64() != allocCount_.size())
         isim_fatal("checkpoint VM frame-table count mismatch");
-    for (auto &frames : usedFrames_) {
-        frames.clear();
-        const std::uint64_t nframes = d.u64();
-        for (std::uint64_t i = 0; i < nframes; ++i)
-            frames.insert(d.u64());
+    for (NodeId n = 0; n < allocCount_.size(); ++n) {
+        const std::vector<std::uint64_t> used = usedFrames(n);
+        bool same = d.u64() == used.size() && used.size() == allocCount_[n];
+        for (std::size_t i = 0; same && i < used.size(); ++i)
+            same = d.u64() == used[i];
+        if (!same)
+            isim_fatal("checkpoint VM frame list of node %u disagrees "
+                       "with the page tables", n);
     }
     for (TlbEntry &e : tlb_)
         e = TlbEntry{};

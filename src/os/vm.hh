@@ -21,8 +21,8 @@
 #define ISIM_OS_VM_HH
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/random.hh"
@@ -75,38 +75,37 @@ class VirtualMemory
   public:
     explicit VirtualMemory(const VmConfig &config);
 
-    unsigned pageBytes() const { return config_.pageBytes; }
-    const HomeMap &homeMap() const { return config_.homeMap; }
-
-    /** Declare the placement policy of a virtual range. */
+    /** Declare the placement policy of a virtual range (whole pages). */
     void setPolicy(Addr vbase, std::uint64_t size, PlacePolicy policy,
                    std::string name = "");
 
-    /**
-     * Enable per-region profiling: every translation is attributed to
-     * its region, and unique 64 B lines are tracked. Costs one region
-     * lookup per access; off by default.
-     */
-    void enableProfiling(bool on) { profiling_ = on; }
-
-    /** Profiling data for one declared region. */
-    struct RegionProfile
+    /** A declared region; `code` names it in the frame table. */
+    struct Region
     {
+        Addr vbase;
+        Addr vend;
+        PlacePolicy policy;
         std::string name;
-        Addr vbase = 0;
-        std::uint64_t size = 0;
-        PlacePolicy policy = PlacePolicy::Interleave;
-        std::uint64_t accesses = 0;
-        std::uint64_t uniqueLines = 0;
+        std::uint8_t code;
     };
-    std::vector<RegionProfile> regionProfiles() const;
+    /** The declared regions, sorted by base address. */
+    const std::vector<Region> &regions() const { return regions_; }
+
+    /** Frame-table codes besides the regions' own (2 upwards). */
+    static constexpr std::uint8_t freeFrame = 0;
+    static constexpr std::uint8_t otherRegion = 1; //!< outside all regions
+    unsigned regionCodes() const
+    {
+        return static_cast<unsigned>(regions_.size()) + 2;
+    }
 
     /**
-     * Region index backing a physical address (-1 if unknown). Only
-     * populated while profiling is enabled; indices match the order of
-     * regionProfiles().
+     * The frame table: per physical frame (index paddr >> pageShift()),
+     * the code of the region holding its page, written once, when the
+     * frame is allocated. The pointer is stable for the VM's lifetime.
      */
-    int regionIndexOfPaddr(Addr paddr) const;
+    const std::uint8_t *frameRegions() const { return frameRegions_.data(); }
+    unsigned pageShift() const { return pageShift_; }
 
     /**
      * Translate; allocates the backing frame(s) on first touch.
@@ -115,61 +114,38 @@ class VirtualMemory
      */
     Addr translate(Addr vaddr, NodeId core);
 
-    /** Node (chip) a core belongs to. */
-    NodeId nodeOfCore(NodeId core) const
-    {
-        return core / config_.coresPerNode;
-    }
-
-    /** Frames allocated on each node so far. */
-    std::uint64_t framesAllocated(NodeId node) const;
-
-    /** Total distinct virtual pages mapped. */
-    std::uint64_t pagesMapped() const
-    {
-        return pages_.size() + replicated_.size();
-    }
-
     /**
      * Checkpoint the page tables, frame allocator and RNG. Region
      * policy declarations are configuration (the engine re-declares
-     * them on construction) and profiling attribution is diagnostic
-     * state; neither is part of the bit-exactness contract. The TLB is
-     * a pure functional cache and is simply cleared on restore.
+     * them on construction), and restore rebuilds the frame table from
+     * the page tables. The TLB is a pure functional cache and is
+     * simply cleared on restore.
      */
     void saveState(ckpt::Serializer &s) const;
     void restoreState(ckpt::Deserializer &d);
 
   private:
-    struct Region
+    const Region *regionOf(Addr vaddr) const;
+    Addr allocFrame(NodeId node, std::uint64_t color_hint,
+                    std::uint8_t code);
+    /** A node's used frames, ascending (the image's frame list). */
+    std::vector<std::uint64_t> usedFrames(NodeId node) const;
+    std::uint64_t framesPerNode() const
     {
-        Addr vbase;
-        Addr vend;
-        PlacePolicy policy;
-        std::string name;
-        // Profiling (mutable so lookups can count).
-        std::uint64_t accesses = 0;
-        std::unordered_set<std::uint64_t> lines;
-    };
-
-    Region *regionOf(Addr vaddr);
-    Addr allocFrame(NodeId node, std::uint64_t color_hint);
+        return config_.homeMap.nodeWindow() >> pageShift_;
+    }
 
     // ckpt: transient(config_): construction parameter, identical by contract
     VmConfig config_;
     // ckpt: transient(pageShift_): derived from config_ at construction
     unsigned pageShift_;
     Rng rng_;
-    // ckpt: transient(profiling_): observability toggle, reapplied per run
-    bool profiling_ = false;
     // ckpt: transient(regions_): region table rebuilt by setup, identical by contract
     std::vector<Region> regions_;
     std::unordered_map<std::uint64_t, Addr> pages_; //!< vpn -> frame base
     std::unordered_map<std::uint64_t, std::vector<Addr>> replicated_;
-    std::vector<std::unordered_set<std::uint64_t>> usedFrames_;
     std::vector<std::uint64_t> allocCount_;
-    // ckpt: transient(frameRegion_): profiling attribution diagnostic only
-    std::unordered_map<std::uint64_t, std::uint16_t> frameRegion_;
+    std::vector<std::uint8_t> frameRegions_; //!< see frameRegions()
 
     /** Small translation cache (functional only; no TLB-miss timing). */
     struct TlbEntry

@@ -72,10 +72,12 @@ constexpr const char *kManifestSchema = "isim-stats";
 // "sim_wall_ms", and an optional "host_wall_ms" was added.
 // Version 3: sampled runs (docs/SAMPLING.md) — bars may carry a
 // "sampling" block (schedule + per-stat sem/ci95) and the META block
-// echoes the sampling schedule. The version participates in
+// echoes the sampling schedule.
+// Version 4: bars carry the `miss.region.<region>.<class>` counters
+// (per-region L2 misses). The version participates in
 // resultKey(), so each bump deliberately invalidates campaign caches
 // built by older schemas.
-constexpr int kManifestVersion = 3;
+constexpr int kManifestVersion = 4;
 
 /** Lower-case 16-digit hex rendering of a 64-bit digest. */
 std::string hex64(std::uint64_t v);

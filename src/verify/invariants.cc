@@ -376,6 +376,19 @@ auditStats(const MemorySystem &ms)
     // Every access() performs exactly one L1 access, machine-wide.
     isim_assert(l1_accesses_total == ms.transitionCount(),
                 "summed L1 accesses do not match the transition count");
+
+    // With a frame table, per class, the regions sum to the machine.
+    NodeProtocolStats regions;
+    for (unsigned code = 0; code < ms.regionCodes(); ++code)
+        regions += ms.regionMisses(code);
+    const NodeProtocolStats all = ms.aggregateStats();
+    isim_assert(ms.regionCodes() == 0 ||
+                    (regions.instrLocal == all.instrLocal &&
+                     regions.instrRemote == all.instrRemote &&
+                     regions.dataLocal == all.dataLocal &&
+                     regions.dataRemoteClean == all.dataRemoteClean &&
+                     regions.dataRemoteDirty == all.dataRemoteDirty),
+                "per-region misses do not sum to the class counters");
 }
 
 void

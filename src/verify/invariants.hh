@@ -15,7 +15,8 @@
  *    exclusivity, L1 inclusion.
  *  - auditStats: conservation identities over the statistics counters
  *    (per-class miss counters sum to the L2 miss counter, L1 misses
- *    feed the L2, instruction+data splits reconcile).
+ *    feed the L2, instruction+data splits reconcile, and per-region
+ *    miss counts sum to each class's machine-wide count).
  *  - auditFull: auditLine over every directory entry, the protocol
  *    engine's own checkInvariants(), and auditStats.
  *  - classifyOracle: an independent re-derivation of the expected

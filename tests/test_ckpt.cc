@@ -376,6 +376,33 @@ TEST_F(CheckpointCorruption, OutOfRangeMetaModeByteFailsCleanly)
     }
 }
 
+TEST_F(CheckpointCorruption, OutOfRangeNodeShiftFailsCleanly)
+{
+    const ScopedPanicThrow guard;
+    // The image with its CONF section re-framed around another node
+    // window (so length and CRC stay valid).
+    auto withNodeShift = [&](unsigned shift) {
+        MachineConfig cfg = ckpt::peekConfig(image_);
+        cfg.nodeShift = shift;
+        std::vector<std::uint8_t> out = ckpt::configBytes(cfg);
+        const std::size_t confAt = ckpt::magicBytes + 4;
+        const std::size_t restAt = confAt + 16 + readLe64(image_, confAt + 4);
+        out.insert(out.end(),
+                   image_.begin() + static_cast<std::ptrdiff_t>(restAt),
+                   image_.end());
+        return out;
+    };
+    EXPECT_NO_THROW(Machine::fromCheckpointBytes(
+        withNodeShift(ckpt::peekConfig(image_).nodeShift)));
+    // Above 2^34 bytes per node the VM frame table would pass 2 MiB
+    // per node; at or below 2^13 a node holds at most one 8 KB page.
+    for (const unsigned shift : {0u, 13u, 35u, 64u}) {
+        EXPECT_THROW(Machine::fromCheckpointBytes(withNodeShift(shift)),
+                     PanicError)
+            << "nodeShift=" << shift;
+    }
+}
+
 TEST_F(CheckpointCorruption, TrailingGarbageFailsCleanly)
 {
     const ScopedPanicThrow guard;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/coherence/protocol.hh"
+#include "src/os/vm.hh"
 
 namespace isim {
 namespace {
@@ -261,20 +264,43 @@ TEST(Protocol, UniprocessorAllLocal)
     ms.checkInvariants();
 }
 
-TEST(Protocol, MissHookSeesEveryCountedMiss)
+TEST(Protocol, RegionMissesFollowTheFrameTable)
 {
     MemorySystem ms(smallConfig(2));
-    std::uint64_t hook_count = 0;
-    Addr last = 0;
-    ms.setMissHook([&](Addr paddr, RefType, MissClass) {
-        ++hook_count;
-        last = paddr;
-    });
-    ms.access(0, RefType::Load, at(0, 0x140));
-    EXPECT_EQ(hook_count, 1u);
-    EXPECT_EQ(last, at(0, 0x140) & ~Addr{63});
-    ms.access(0, RefType::Load, at(0, 0x140)); // L1 hit: no hook
-    EXPECT_EQ(hook_count, 1u);
+    VmConfig vc;
+    vc.homeMap = HomeMap{31, 2};
+    VirtualMemory vm(vc);
+    vm.setPolicy(0x10000000, 1 * mib, PlacePolicy::Interleave, "r");
+    const unsigned r = vm.regions().front().code;
+    ms.setFrameRegions(vm.frameRegions(), vm.pageShift(),
+                       vm.regionCodes());
+    ASSERT_EQ(ms.regionCodes(), 3u);
+    // Total misses counted against each region code.
+    auto perRegion = [&] {
+        std::vector<std::uint64_t> out;
+        for (unsigned code = 0; code < ms.regionCodes(); ++code)
+            out.push_back(ms.regionMisses(code).totalL2Misses());
+        return out;
+    };
+
+    // A load miss to the region's page counts in its class there.
+    const Addr in_region = vm.translate(0x10000000 + 0x40, 0);
+    ms.access(0, RefType::Load, in_region);
+    const NodeProtocolStats &rs = ms.regionMisses(r);
+    EXPECT_EQ((in_region >> 31) == 0 ? rs.dataLocal : rs.dataRemoteClean,
+              1u);
+    EXPECT_EQ(perRegion(), (std::vector<std::uint64_t>{0, 0, 1}));
+    ms.access(0, RefType::Load, in_region); // L1 hit: nothing counted
+    EXPECT_EQ(perRegion(), (std::vector<std::uint64_t>{0, 0, 1}));
+
+    ms.resetStats();
+    EXPECT_EQ(perRegion(), (std::vector<std::uint64_t>{0, 0, 0}));
+    // An instruction miss outside every region counts as "other".
+    const Addr outside = vm.translate(0x20000000, 0);
+    ms.access(0, RefType::IFetch, outside);
+    const NodeProtocolStats &os = ms.regionMisses(VirtualMemory::otherRegion);
+    EXPECT_EQ((outside >> 31) == 0 ? os.instrLocal : os.instrRemote, 1u);
+    EXPECT_EQ(perRegion(), (std::vector<std::uint64_t>{0, 1, 0}));
 }
 
 TEST(Protocol, StatsResetKeepsCacheContents)

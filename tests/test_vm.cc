@@ -2,13 +2,18 @@
  * @file
  * Unit tests for virtual memory: placement policies (interleave /
  * local / replicate), lazy allocation, determinism, frame uniqueness,
- * and region profiling.
+ * and the frame table's region codes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "src/base/random.hh"
 #include "src/os/vm.hh"
 
 namespace isim {
@@ -100,7 +105,11 @@ TEST(Vm, FramesNeverCollide)
         EXPECT_TRUE(frames.insert(p & ~Addr{8 * kib - 1}).second)
             << "duplicate frame at page " << i;
     }
-    EXPECT_EQ(vm.framesAllocated(0) + vm.framesAllocated(1), 2000u);
+    const std::uint8_t *table = vm.frameRegions();
+    EXPECT_EQ(2 * (std::size_t{1} << 18) -
+                  std::count(table, table + 2 * (std::size_t{1} << 18),
+                             VirtualMemory::freeFrame),
+              2000u);
 }
 
 TEST(Vm, DeterministicAcrossInstances)
@@ -112,29 +121,49 @@ TEST(Vm, DeterministicAcrossInstances)
     }
 }
 
-TEST(Vm, ProfilingCountsAccessesAndLines)
+TEST(Vm, FrameTableHoldsEachPagesRegion)
 {
-    VirtualMemory vm(config(2));
+    VirtualMemory vm(config(4));
     vm.setPolicy(0x1000000, 1 * mib, PlacePolicy::Interleave, "r1");
-    vm.enableProfiling(true);
-    vm.translate(0x1000000, 0);
-    vm.translate(0x1000000, 0);       // same line
-    vm.translate(0x1000000 + 64, 0);  // new line
-    const auto profiles = vm.regionProfiles();
-    ASSERT_EQ(profiles.size(), 1u);
-    EXPECT_EQ(profiles[0].name, "r1");
-    EXPECT_EQ(profiles[0].accesses, 3u);
-    EXPECT_EQ(profiles[0].uniqueLines, 2u);
+    vm.setPolicy(0x30000000, 16 * mib, PlacePolicy::Replicate, "text");
+    ASSERT_EQ(vm.regionCodes(), 4u);
+    const std::uint8_t *table = vm.frameRegions();
+    auto code = [&](Addr paddr) { return table[paddr >> 13]; };
+    auto codeOf = [&](const std::string &name) {
+        for (const VirtualMemory::Region &r : vm.regions()) {
+            if (r.name == name)
+                return r.code;
+        }
+        return std::uint8_t{0};
+    };
+
+    const Addr in_r1 = vm.translate(0x1000000 + 8 * kib + 5, 1);
+    EXPECT_EQ(code(in_r1), codeOf("r1"));
+    const Addr outside = vm.translate(0x5000000, 2);
+    EXPECT_EQ(code(outside), VirtualMemory::otherRegion);
+    for (NodeId n = 0; n < 4; ++n) // one copy per node, one region
+        EXPECT_EQ(code(vm.translate(0x30000000, n)), codeOf("text"));
+    EXPECT_EQ(code(outside ^ (Addr{1} << 30)), VirtualMemory::freeFrame);
 }
 
-TEST(Vm, RegionIndexOfPaddr)
+TEST(Vm, PlacementMatchesAHashSetAllocator)
 {
+    // The frame table replaced a per-node hash set of used frames; for
+    // a fixed seed both must hand out the same frames, retries
+    // included (thousands of draws over 2^18 frames per node collide).
     VirtualMemory vm(config(2));
-    vm.setPolicy(0x1000000, 1 * mib, PlacePolicy::Interleave, "r1");
-    vm.enableProfiling(true);
-    const Addr p = vm.translate(0x1000000, 0);
-    EXPECT_EQ(vm.regionIndexOfPaddr(p), 0);
-    EXPECT_EQ(vm.regionIndexOfPaddr(p ^ (Addr{1} << 30)), -1);
+    Rng rng(1234);
+    std::vector<std::unordered_set<std::uint64_t>> used(2);
+    const std::uint64_t frames_per_node = (Addr{1} << 31) / (8 * kib);
+    for (std::uint64_t vpn = 0; vpn < 6000; ++vpn) {
+        const NodeId node = static_cast<NodeId>(vpn % 2); // interleave
+        std::uint64_t frame;
+        do {
+            frame = rng.below(frames_per_node);
+        } while (!used[node].insert(frame).second);
+        const Addr want = (Addr{node} << 31) + frame * 8 * kib;
+        ASSERT_EQ(vm.translate(vpn * 8 * kib, 0), want) << "vpn " << vpn;
+    }
 }
 
 TEST(Vm, PageColoringTilesConsecutivePages)
@@ -175,9 +204,18 @@ TEST(Vm, PageColoringKeepsFramesUnique)
 TEST(VmDeathTest, OverlappingRegionsRejected)
 {
     VirtualMemory vm(config(2));
-    vm.setPolicy(0x1000, 0x1000, PlacePolicy::Local);
-    EXPECT_DEATH(vm.setPolicy(0x1800, 0x1000, PlacePolicy::Local),
+    vm.setPolicy(0x2000, 0x4000, PlacePolicy::Local);
+    EXPECT_DEATH(vm.setPolicy(0x4000, 0x4000, PlacePolicy::Local),
                  "overlapping");
+}
+
+TEST(VmDeathTest, RegionsMustBeWholePages)
+{
+    VirtualMemory vm(config(2));
+    EXPECT_DEATH(vm.setPolicy(0x1000, 8 * kib, PlacePolicy::Local),
+                 "whole pages");
+    EXPECT_DEATH(vm.setPolicy(0x2000, 12 * kib, PlacePolicy::Local),
+                 "whole pages");
 }
 
 } // namespace

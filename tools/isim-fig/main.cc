@@ -16,7 +16,9 @@
  * --quiet, --audit-period, ...) and the observability capture flags;
  * no environment variable is read. Table entries (fig02, fig03,
  * ablation-noc) run no simulation: they print their table and ignore
- * the run flags, --json-dir and --stats-out included.
+ * the run flags, --json-dir and --stats-out included. The single-file
+ * outputs (--stats-out, --trace-out, --trace-bin, --timeline-out) take
+ * one figure: naming several is an error (exit 2).
  */
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/options.hh"
@@ -93,6 +96,24 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
                 selected.end()) {
                 selected.push_back(e);
             }
+        }
+    }
+    // A single-file output holds one figure; a second would silently
+    // overwrite the first.
+    const std::size_t figures = static_cast<std::size_t>(std::count_if(
+        selected.begin(), selected.end(),
+        [](const FigureEntry *e) { return !e->table; }));
+    for (const auto &[flag, path] :
+         {std::pair{"--stats-out", &opts.statsOut},
+          std::pair{"--trace-out", &opts.obs.traceOutPath},
+          std::pair{"--trace-bin", &opts.obs.traceBinPath},
+          std::pair{"--timeline-out", &opts.obs.timelineOutPath}}) {
+        if (figures > 1 && !path->empty()) {
+            std::fprintf(stderr,
+                         "%s writes one file but the ids name %zu "
+                         "figures; run them one at a time\n",
+                         flag, figures);
+            return 2;
         }
     }
     for (std::size_t i = 0; i < selected.size(); ++i) {
