@@ -6,51 +6,97 @@
 #include "src/coherence/directory.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "src/base/intmath.hh"
 #include "src/ckpt/serializer.hh"
 
 namespace isim {
+
+namespace {
+
+/**
+ * Initial table size: 8 MB, room for 393K lines before the first
+ * growth, so most figure runs never rehash.
+ */
+constexpr std::size_t initialSlots = std::size_t{1} << 19;
+
+/** Smallest table (a power of two, at least initialSlots) that holds
+ *  `lines` entries at no more than 3/4 load. */
+std::size_t
+slotsFor(std::uint64_t lines)
+{
+    std::size_t slots = initialSlots;
+    while (lines * 4 > slots * std::uint64_t{3})
+        slots *= 2;
+    return slots;
+}
+
+} // namespace
 
 Directory::Directory(const HomeMap &home_map, unsigned line_bits)
     : homeMap_(home_map), lineBits_(line_bits)
 {
     isim_assert(homeMap_.numNodes >= 1 && homeMap_.numNodes <= 32);
-    map_.reserve(1 << 20);
+    rehash(initialSlots);
 }
 
-DirEntry *
-Directory::find(Addr line_addr)
+void
+Directory::rehash(std::size_t slots)
 {
-    auto it = map_.find(line_addr);
-    return it == map_.end() ? nullptr : &it->second;
-}
-
-const DirEntry *
-Directory::find(Addr line_addr) const
-{
-    auto it = map_.find(line_addr);
-    return it == map_.end() ? nullptr : &it->second;
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots));
+    mask_ = slots - 1;
+    shift_ = 64 - floorLog2(slots);
+    for (const Slot &s : old) {
+        if (s.line != emptyLine)
+            slots_[slotOf(s.line)] = s;
+    }
 }
 
 DirEntry &
-Directory::entry(Addr line_addr)
+Directory::insert(std::size_t i, Addr line_addr)
 {
-    return map_[line_addr];
+    isim_assert(line_addr != emptyLine, "directory key collides with "
+                                        "the free-slot marker");
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+        rehash(slots_.size() * 2);
+        i = slotOf(line_addr);
+    }
+    slots_[i] = Slot{line_addr, DirEntry{}};
+    ++size_;
+    return slots_[i].entry;
 }
 
 void
 Directory::erase(Addr line_addr)
 {
-    map_.erase(line_addr);
+    std::size_t hole = slotOf(line_addr);
+    if (slots_[hole].line != line_addr)
+        return;
+    // Backward shift: walk the rest of the cluster and pull each entry
+    // whose probe path crosses the hole back into it, so no lookup
+    // meets a free slot before reaching its line.
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].line != emptyLine;
+         j = (j + 1) & mask_) {
+        const std::size_t from = homeSlot(slots_[j].line);
+        if (((j - from) & mask_) >= ((j - hole) & mask_)) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole].line = emptyLine;
+    --size_;
 }
 
 void
 Directory::forEachEntry(
     const std::function<void(Addr line_addr, const DirEntry &)> &fn) const
 {
-    for (const auto &[line_addr, e] : map_)
-        fn(line_addr, e);
+    for (const Slot &s : slots_) {
+        if (s.line != emptyLine)
+            fn(s.line, s.entry);
+    }
 }
 
 void
@@ -94,38 +140,69 @@ Directory::checkEntry(const DirEntry &e)
 void
 Directory::saveState(ckpt::Serializer &s) const
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(map_.size());
-    // isim-lint: allow(ordered-output): keys are collected then sorted before emission
-    for (const auto &[line_addr, e] : map_)
-        addrs.push_back(line_addr);
-    std::sort(addrs.begin(), addrs.end());
-    s.u64(addrs.size());
-    for (Addr line_addr : addrs) {
-        const DirEntry &e = map_.at(line_addr);
-        s.u64(line_addr);
-        s.u8(static_cast<std::uint8_t>(e.state));
-        s.u32(e.sharers);
-        s.u32(e.owner);
+    std::vector<Slot> live;
+    live.reserve(size_);
+    for (const Slot &sl : slots_) {
+        if (sl.line != emptyLine)
+            live.push_back(sl);
+    }
+    std::sort(live.begin(), live.end(), [](const Slot &a, const Slot &b) {
+        return a.line < b.line;
+    });
+    s.u64(live.size());
+    for (const Slot &sl : live) {
+        s.u64(sl.line);
+        s.u8(static_cast<std::uint8_t>(sl.entry.state));
+        s.u32(sl.entry.sharers);
+        s.u32(sl.entry.owner);
     }
 }
 
 void
 Directory::restoreState(ckpt::Deserializer &d)
 {
-    map_.clear();
+    // line u64 + state u8 + sharers u32 + owner u32
+    constexpr std::uint64_t entryBytes = 17;
     const std::uint64_t count = d.u64();
+    if (count > d.sectionRemaining() / entryBytes)
+        isim_fatal("checkpoint corrupt: directory claims %llu entries",
+                   static_cast<unsigned long long>(count));
+    const std::size_t slots = slotsFor(count);
+    if (slots == slots_.size())
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+    else
+        slots_.assign(slots, Slot{});
+    mask_ = slots - 1;
+    shift_ = 64 - floorLog2(slots);
+    size_ = 0;
+
+    const Addr line_limit =
+        (Addr{homeMap_.numNodes} << homeMap_.nodeShift) >> lineBits_;
+    Addr prev = 0;
     for (std::uint64_t n = 0; n < count; ++n) {
         const Addr line_addr = d.u64();
+        if (n > 0 && line_addr <= prev)
+            isim_fatal("checkpoint corrupt: directory line %#llx "
+                       "repeated or out of order",
+                       static_cast<unsigned long long>(line_addr));
+        if (line_addr >= line_limit)
+            isim_fatal("checkpoint corrupt: directory line %#llx "
+                       "outside installed memory",
+                       static_cast<unsigned long long>(line_addr));
+        prev = line_addr;
         DirEntry e;
         const std::uint8_t state = d.u8();
         if (state > static_cast<std::uint8_t>(LineState::Modified))
             isim_fatal("checkpoint corrupt: directory state %u", state);
         e.state = static_cast<LineState>(state);
         e.sharers = d.u32();
-        e.owner = d.u32();
+        const std::uint32_t owner = d.u32();
+        if (owner != invalidNode && owner >= homeMap_.numNodes)
+            isim_fatal("checkpoint corrupt: directory owner %u", owner);
+        e.owner = owner;
         checkEntry(e, homeMap_.numNodes);
-        map_.emplace(line_addr, e);
+        slots_[slotOf(line_addr)] = Slot{line_addr, e};
+        ++size_;
     }
 }
 

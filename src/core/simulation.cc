@@ -19,7 +19,7 @@ Simulation::Simulation(Scheduler &sched, KernelModel &kernel,
                        std::vector<std::unique_ptr<CpuCore>> &cpus,
                        const SimOptions &options)
     : sched_(sched), kernel_(kernel), engine_(engine), cpus_(cpus),
-      options_(options), state_(cpus.size())
+      options_(options), state_(cpus.size()), nextEvent_(cpus.size())
 {
     if (options_.obs != nullptr)
         tracer_ = &options_.obs->tracer();
@@ -52,17 +52,6 @@ Simulation::drainOn(CpuCore &core, Tick now)
     return static_cast<OooCpu &>(core).drain(now);
 }
 
-bool
-Simulation::steppable(NodeId cpu) const
-{
-    const CpuState &cs = state_[cpu];
-    if (!cs.injected.empty() || sched_.running(cpu) != nullptr ||
-        sched_.hasReady(cpu)) {
-        return true;
-    }
-    return sched_.nextWake(cpu) != maxTick;
-}
-
 Tick
 Simulation::nextEventTime(NodeId cpu) const
 {
@@ -73,6 +62,14 @@ Simulation::nextEventTime(NodeId cpu) const
     }
     const Tick wake = sched_.nextWake(cpu);
     return wake == maxTick ? maxTick : std::max(cs.now, wake);
+}
+
+void
+Simulation::refreshNextEvents()
+{
+    for (NodeId cpu = 0; cpu < state_.size(); ++cpu)
+        nextEvent_[cpu] = nextEventTime(cpu);
+    schedVersion_ = sched_.version();
 }
 
 void
@@ -154,15 +151,17 @@ Simulation::stepCpu(NodeId cpu)
 void
 Simulation::runUntil(std::uint64_t target)
 {
+    refreshNextEvents();
     while (engine_.committedTransactions() < target) {
+        // The earliest next event, lowest CPU first on ties; selects
+        // rather than branches, as the winner is unpredictable.
         NodeId best = invalidNode;
         Tick best_time = maxTick;
-        for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
-            const Tick t = nextEventTime(cpu);
-            if (t < best_time) {
-                best_time = t;
-                best = cpu;
-            }
+        for (NodeId cpu = 0; cpu < nextEvent_.size(); ++cpu) {
+            const Tick t = nextEvent_[cpu];
+            const bool earlier = t < best_time;
+            best = earlier ? cpu : best;
+            best_time = earlier ? t : best_time;
         }
         if (best == invalidNode) {
             // Nothing can run anywhere: either all processes exited or
@@ -177,6 +176,15 @@ Simulation::runUntil(std::uint64_t target)
         if (options_.obs != nullptr && best_time != maxTick)
             options_.obs->advance(best_time);
         stepCpu(best);
+        if (sched_.version() != schedVersion_)
+            refreshNextEvents();
+        else
+            nextEvent_[best] = nextEventTime(best);
+#ifdef ISIM_CHECK_INVARIANTS
+        for (NodeId cpu = 0; cpu < state_.size(); ++cpu)
+            isim_assert(nextEvent_[cpu] == nextEventTime(cpu),
+                        "stale cached next-event time");
+#endif
         ++steps_;
         if (options_.maxSteps != 0 && steps_ > options_.maxSteps)
             isim_fatal("step limit exceeded (runaway simulation?)");
@@ -244,6 +252,7 @@ Simulation::restoreState(const SimState &state)
     }
     state_ = state.cpus;
     steps_ = state.steps;
+    refreshNextEvents();
 }
 
 } // namespace isim

@@ -105,8 +105,6 @@ class Simulation
   private:
     using CpuState = SimState::Cpu;
 
-    /** True if the CPU can make progress right now. */
-    bool steppable(NodeId cpu) const;
     /**
      * Time of the CPU's next unit of work: its clock when something
      * is runnable, else its next timed wake. The loop always steps
@@ -115,6 +113,8 @@ class Simulation
      * it — preserving global event order and honest wall time.
      */
     Tick nextEventTime(NodeId cpu) const;
+    /** Recompute every CPU's cached next-event time. */
+    void refreshNextEvents();
     /** Execute one unit of work on the CPU. */
     void stepCpu(NodeId cpu);
 
@@ -130,6 +130,13 @@ class Simulation
     obs::Tracer *tracer_ = nullptr; //!< from options_.obs, may be null
     std::vector<CpuState> state_;
     std::uint64_t steps_ = 0;
+    /**
+     * nextEventTime() per CPU. A step changes only the stepped CPU's
+     * entry unless it changed the scheduler (a wake may target any
+     * CPU), which schedVersion_ detects.
+     */
+    std::vector<Tick> nextEvent_;
+    std::uint64_t schedVersion_ = 0; //!< sched_.version() at last refresh
 };
 
 } // namespace isim

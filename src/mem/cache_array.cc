@@ -5,6 +5,8 @@
 
 #include "src/mem/cache_array.hh"
 
+#include <algorithm>
+
 #include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
 
@@ -18,43 +20,17 @@ CacheArray::CacheArray(const CacheGeometry &geometry) : geom_(geometry)
     setMask_ = pow2_ ? numSets_ - 1 : 0;
     tagShift_ = pow2_ ? floorLog2(numSets_) : 0;
     lines_.resize(numSets_ * geom_.assoc);
-}
-
-CacheLine *
-CacheArray::findLine(Addr line_addr)
-{
-    const std::uint64_t set =
-        pow2_ ? (line_addr & setMask_) : (line_addr % numSets_);
-    const Addr tag =
-        pow2_ ? (line_addr >> tagShift_) : (line_addr / numSets_);
-    CacheLine *base = setBase(set);
-    for (unsigned w = 0; w < geom_.assoc; ++w) {
-        if (base[w].valid() && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const CacheLine *
-CacheArray::findLine(Addr line_addr) const
-{
-    return const_cast<CacheArray *>(this)->findLine(line_addr);
-}
-
-void
-CacheArray::touch(CacheLine &line)
-{
-    line.lastUse = ++useStamp_;
+    stamps_.resize(lines_.size());
 }
 
 CacheLine &
 CacheArray::allocate(Addr line_addr, LineState state, Victim &victim)
 {
-    const std::uint64_t set =
-        pow2_ ? (line_addr & setMask_) : (line_addr % numSets_);
+    const std::uint64_t set = setOf(line_addr);
     const Addr tag =
         pow2_ ? (line_addr >> tagShift_) : (line_addr / numSets_);
     CacheLine *base = setBase(set);
+    const std::uint64_t *stamps = &stamps_[set * geom_.assoc];
 
     CacheLine *slot = nullptr;
     for (unsigned w = 0; w < geom_.assoc; ++w) {
@@ -66,11 +42,12 @@ CacheArray::allocate(Addr line_addr, LineState state, Victim &victim)
         }
     }
     if (slot == nullptr) {
-        slot = base;
+        unsigned lru = 0;
         for (unsigned w = 1; w < geom_.assoc; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
+            if (stamps[w] < stamps[lru])
+                lru = w;
         }
+        slot = &base[lru];
     }
 
     victim = Victim{};
@@ -143,7 +120,7 @@ CacheArray::saveState(ckpt::Serializer &s) const
         s.u64(line.tag);
         s.u8(static_cast<std::uint8_t>(line.state));
         s.b(line.prefetched);
-        s.u64(line.lastUse);
+        s.u64(stamps_[i]);
     }
 }
 
@@ -163,8 +140,8 @@ CacheArray::restoreState(ckpt::Deserializer &d)
                    static_cast<unsigned long long>(geom_.sizeBytes),
                    geom_.assoc, geom_.lineBytes);
     useStamp_ = d.u64();
-    for (auto &line : lines_)
-        line = CacheLine{};
+    std::fill(lines_.begin(), lines_.end(), CacheLine{});
+    std::fill(stamps_.begin(), stamps_.end(), 0);
     const std::uint64_t valid = d.u64();
     for (std::uint64_t n = 0; n < valid; ++n) {
         const std::uint64_t slot = d.u64();
@@ -181,7 +158,7 @@ CacheArray::restoreState(ckpt::Deserializer &d)
             isim_fatal("checkpoint corrupt: cache line state %u", state);
         line.state = static_cast<LineState>(state);
         line.prefetched = d.b();
-        line.lastUse = d.u64();
+        stamps_[slot] = d.u64();
     }
 }
 

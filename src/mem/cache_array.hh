@@ -22,16 +22,19 @@
 
 namespace isim {
 
-/** One way of one set. */
+/**
+ * One way of one set: 16 B, so a 4-way set is one 64 B host cache
+ * line. Its LRU stamp lives beside it in CacheArray (lastUseOf()).
+ */
 struct CacheLine
 {
     Addr tag = 0;
     LineState state = LineState::Invalid;
     bool prefetched = false; //!< filled by a prefetch, not yet demanded
-    std::uint64_t lastUse = 0; //!< global LRU stamp
 
     bool valid() const { return state != LineState::Invalid; }
 };
+static_assert(sizeof(CacheLine) == 16, "a tag line is 16 bytes");
 
 /** Result of allocating a way for a fill: the displaced victim, if any. */
 struct Victim
@@ -58,11 +61,34 @@ class CacheArray
      * LRU state; call touch() on the returned line for a real access
      * (probes from the coherence protocol should not perturb LRU).
      */
-    CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLine(Addr line_addr) const;
+    CacheLine *findLine(Addr line_addr)
+    {
+        const Addr tag =
+            pow2_ ? (line_addr >> tagShift_) : (line_addr / numSets_);
+        CacheLine *base = setBase(setOf(line_addr));
+        for (unsigned w = 0; w < geom_.assoc; ++w) {
+            if (base[w].valid() && base[w].tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+    const CacheLine *findLine(Addr line_addr) const
+    {
+        return const_cast<CacheArray *>(this)->findLine(line_addr);
+    }
 
     /** Mark a line most-recently-used. */
-    void touch(CacheLine &line);
+    void touch(const CacheLine &line)
+    {
+        stamps_[static_cast<std::size_t>(&line - lines_.data())] =
+            ++useStamp_;
+    }
+
+    /** A resident line's global LRU stamp (larger = used later). */
+    std::uint64_t lastUseOf(const CacheLine &line) const
+    {
+        return stamps_[static_cast<std::size_t>(&line - lines_.data())];
+    }
 
     /**
      * Choose a way for line_addr: an invalid way if present, otherwise
@@ -94,6 +120,10 @@ class CacheArray
     void restoreState(ckpt::Deserializer &d);
 
   private:
+    std::uint64_t setOf(Addr line_addr) const
+    {
+        return pow2_ ? (line_addr & setMask_) : (line_addr % numSets_);
+    }
     CacheLine *setBase(std::uint64_t set_index)
     {
         return &lines_[set_index * geom_.assoc];
@@ -114,6 +144,7 @@ class CacheArray
     unsigned tagShift_;
     std::uint64_t useStamp_ = 0;
     std::vector<CacheLine> lines_;
+    std::vector<std::uint64_t> stamps_; //!< LRU stamp per slot of lines_
 };
 
 } // namespace isim

@@ -18,6 +18,7 @@ Scheduler::Scheduler(unsigned num_cpus) : cpus_(num_cpus)
 Process &
 Scheduler::add(std::unique_ptr<Process> process)
 {
+    ++version_;
     Process &p = *process;
     isim_assert(p.cpu() < cpus_.size(), "process bound to unknown CPU");
     p.schedState = Process::SchedState::Ready;
@@ -43,6 +44,7 @@ Scheduler::wakeExpired(NodeId cpu, Tick now)
 Process *
 Scheduler::pickNext(NodeId cpu, Tick now)
 {
+    ++version_;
     CpuQueues &q = cpus_[cpu];
     isim_assert(q.running == nullptr,
                 "pickNext while a process is running");
@@ -73,6 +75,7 @@ Scheduler::hasWork(NodeId cpu) const
 void
 Scheduler::blockCurrent(NodeId cpu, Tick wake_at)
 {
+    ++version_;
     CpuQueues &q = cpus_[cpu];
     isim_assert(q.running != nullptr);
     Process *p = q.running;
@@ -86,6 +89,7 @@ Scheduler::blockCurrent(NodeId cpu, Tick wake_at)
 void
 Scheduler::yieldCurrent(NodeId cpu)
 {
+    ++version_;
     CpuQueues &q = cpus_[cpu];
     isim_assert(q.running != nullptr);
     Process *p = q.running;
@@ -97,6 +101,7 @@ Scheduler::yieldCurrent(NodeId cpu)
 void
 Scheduler::finishCurrent(NodeId cpu)
 {
+    ++version_;
     CpuQueues &q = cpus_[cpu];
     isim_assert(q.running != nullptr);
     Process *p = q.running;
@@ -110,6 +115,7 @@ Scheduler::finishCurrent(NodeId cpu)
 void
 Scheduler::wake(Process &process, Tick at)
 {
+    ++version_;
     isim_assert(process.schedState == Process::SchedState::Blocked,
                 "wake of a process that is not blocked");
     isim_assert(process.wakeTime == maxTick,
@@ -175,6 +181,7 @@ Scheduler::saveState(ckpt::Serializer &s) const
 void
 Scheduler::restoreState(ckpt::Deserializer &d)
 {
+    ++version_;
     finished_ = d.u64();
     switches_ = d.u64();
     if (d.u64() != processes_.size())

@@ -77,6 +77,12 @@ class Scheduler
     /** Number of voluntary + involuntary context switches so far. */
     std::uint64_t contextSwitches() const { return switches_; }
 
+    /**
+     * Bumped by every call that changes queue state, so the loop can
+     * tell whether a step may have changed another CPU's next event.
+     */
+    std::uint64_t version() const { return version_; }
+
     /** The registered process with this pid (nullptr if unknown). */
     Process *processByPid(Pid pid) const;
 
@@ -123,6 +129,8 @@ class Scheduler
     std::uint64_t finished_ = 0;
     std::uint64_t switches_ = 0;
     std::uint64_t wakeSeq_ = 0; //!< next TimedWake::seq
+    // ckpt: transient(version_): a change counter; only its changes matter
+    std::uint64_t version_ = 0;
 };
 
 } // namespace isim

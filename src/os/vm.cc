@@ -6,6 +6,7 @@
 #include "src/os/vm.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/base/intmath.hh"
@@ -170,7 +171,20 @@ VirtualMemory::usedFrames(NodeId node) const
     used.reserve(allocCount_[node]);
     const std::uint8_t *slice =
         frameRegions_.data() + node * framesPerNode();
-    for (std::uint64_t pfn = 0; pfn < framesPerNode(); ++pfn) {
+    // Most frames are free: skip them a word (8 frames) at a time.
+    static_assert(freeFrame == 0, "a free word reads as zero");
+    std::uint64_t pfn = 0;
+    for (; pfn + 8 <= framesPerNode(); pfn += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, slice + pfn, sizeof(word));
+        if (word == 0)
+            continue;
+        for (std::uint64_t i = pfn; i < pfn + 8; ++i) {
+            if (slice[i] != freeFrame)
+                used.push_back(i);
+        }
+    }
+    for (; pfn < framesPerNode(); ++pfn) {
         if (slice[pfn] != freeFrame)
             used.push_back(pfn);
     }
@@ -235,6 +249,7 @@ VirtualMemory::restoreState(ckpt::Deserializer &d)
     // The frame table is rebuilt from the page tables as they are
     // read, and must then hold exactly the image's used-frame lists.
     std::fill(frameRegions_.begin(), frameRegions_.end(), freeFrame);
+    std::vector<std::uint64_t> mapped(allocCount_.size(), 0);
     auto map = [&](std::uint64_t vpn, Addr frame) {
         const std::uint64_t pfn = frame >> pageShift_;
         if (frame % config_.pageBytes != 0 ||
@@ -243,6 +258,7 @@ VirtualMemory::restoreState(ckpt::Deserializer &d)
                        "shared frame");
         const Region *r = regionOf(vpn << pageShift_);
         frameRegions_[pfn] = r != nullptr ? r->code : otherRegion;
+        ++mapped[pfn / framesPerNode()];
     };
     pages_.clear();
     const std::uint64_t npages = d.u64();
@@ -262,13 +278,22 @@ VirtualMemory::restoreState(ckpt::Deserializer &d)
         }
         replicated_[vpn] = std::move(copies);
     }
+    // A node's list equals its used frames when it has as many
+    // entries, strictly ascending, each of them used.
     if (d.u64() != allocCount_.size())
         isim_fatal("checkpoint VM frame-table count mismatch");
     for (NodeId n = 0; n < allocCount_.size(); ++n) {
-        const std::vector<std::uint64_t> used = usedFrames(n);
-        bool same = d.u64() == used.size() && used.size() == allocCount_[n];
-        for (std::size_t i = 0; same && i < used.size(); ++i)
-            same = d.u64() == used[i];
+        const std::uint8_t *slice =
+            frameRegions_.data() + n * framesPerNode();
+        const std::uint64_t listed = d.u64();
+        bool same = listed == mapped[n] && listed == allocCount_[n];
+        std::uint64_t next = 0; // smallest pfn the next entry may name
+        for (std::uint64_t i = 0; same && i < listed; ++i) {
+            const std::uint64_t pfn = d.u64();
+            same = pfn >= next && pfn < framesPerNode() &&
+                   slice[pfn] != freeFrame;
+            next = pfn + 1;
+        }
         if (!same)
             isim_fatal("checkpoint VM frame list of node %u disagrees "
                        "with the page tables", n);

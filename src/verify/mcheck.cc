@@ -189,7 +189,8 @@ appendRecency(std::string &key, const Cache &cache,
         const auto it = std::find(tracked.begin(), tracked.end(), line);
         // Untracked lines cannot exist: events only touch tracked ones.
         isim_assert(it != tracked.end(), "untracked line is resident");
-        entries.push_back({cache.geometry().setIndex(line), cl.lastUse,
+        entries.push_back({cache.geometry().setIndex(line),
+                           cache.array().lastUseOf(cl),
                            static_cast<std::uint8_t>(
                                it - tracked.begin())});
     });

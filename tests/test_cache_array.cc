@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit and property tests for the set-associative tag array,
- * including a randomized cross-check against a reference LRU model.
+ * including a randomized cross-check against a reference LRU model
+ * and checkpoint round trips of the per-slot LRU stamps.
  */
 
 #include <gtest/gtest.h>
 
 #include <list>
+#include <tuple>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/random.hh"
+#include "src/ckpt/serializer.hh"
 #include "src/mem/cache_array.hh"
 
 namespace isim {
@@ -229,6 +232,105 @@ TEST(CacheArray, FullyAssocStackProperty)
         }
     }
     EXPECT_LE(small_hits, big_hits);
+}
+
+constexpr std::uint32_t kArrayTag = ckpt::sectionTag("TAGS");
+
+std::vector<std::uint8_t>
+imageOf(const CacheArray &array)
+{
+    ckpt::Serializer s;
+    s.beginSection(kArrayTag);
+    array.saveState(s);
+    s.endSection();
+    return s.bytes();
+}
+
+/** Seeded hits, fills and invalidations; returns the victims seen. */
+std::vector<Addr>
+exercise(CacheArray &array, Rng &rng, int steps)
+{
+    std::vector<Addr> victims;
+    const std::uint64_t pool = array.geometry().lines() * 3;
+    for (int step = 0; step < steps; ++step) {
+        const Addr line = rng.below(pool);
+        CacheLine *cl = array.findLine(line);
+        if (rng.below(8) == 0) {
+            if (cl != nullptr)
+                array.invalidate(*cl);
+        } else if (cl != nullptr) {
+            array.touch(*cl);
+        } else {
+            Victim v;
+            array.allocate(line, LineState::Modified, v).prefetched =
+                rng.below(2) == 0;
+            victims.push_back(v.valid ? v.lineAddr : ~Addr{0});
+        }
+    }
+    return victims;
+}
+
+TEST(CacheArray, StampsSitBesideSixteenByteLines)
+{
+    // Each valid line's record is (slot, tag, state, prefetched,
+    // stamp): the stamps moved out of CacheLine, not out of the image.
+    const CacheGeometry g{8 * kib, 2, 64};
+    CacheArray array(g);
+    const Addr a = 3, b = 3 + g.sets();
+    Victim v;
+    array.allocate(a, LineState::Shared, v);  // stamp 1
+    array.allocate(b, LineState::Modified, v); // stamp 2
+    array.touch(*array.findLine(a));           // stamp 3
+    EXPECT_EQ(array.lastUseOf(*array.findLine(a)), 3u);
+    EXPECT_EQ(array.lastUseOf(*array.findLine(b)), 2u);
+
+    ckpt::Serializer want;
+    want.beginSection(kArrayTag);
+    want.u64(g.sizeBytes);
+    want.u32(g.assoc);
+    want.u32(g.lineBytes);
+    want.u64(3); // use stamp
+    want.u64(2); // valid lines, in slot order
+    for (const auto &[slot, tag, state, stamp] :
+         {std::tuple{3 * 2, a / g.sets(), LineState::Shared, 3},
+          std::tuple{3 * 2 + 1, b / g.sets(), LineState::Modified, 2}}) {
+        want.u64(static_cast<std::uint64_t>(slot));
+        want.u64(tag);
+        want.u8(static_cast<std::uint8_t>(state));
+        want.b(false);
+        want.u64(static_cast<std::uint64_t>(stamp));
+    }
+    want.endSection();
+    EXPECT_EQ(imageOf(array), want.bytes());
+}
+
+TEST(CacheArray, RestoredStampsKeepLruVictims)
+{
+    for (const CacheGeometry &g :
+         {CacheGeometry{16 * kib, 4, 64}, CacheGeometry{20 * kib, 4, 64},
+          CacheGeometry{4 * kib, 1, 64}}) {
+        CacheArray array(g);
+        Rng rng(0x57a4 + g.sizeBytes);
+        exercise(array, rng, 20000);
+        const std::vector<std::uint8_t> image = imageOf(array);
+
+        // Restore over an array with other contents.
+        CacheArray restored(g);
+        Rng other(1);
+        exercise(restored, other, 5000);
+        ckpt::Deserializer d(image);
+        d.beginSection(kArrayTag);
+        restored.restoreState(d);
+        d.endSection();
+        EXPECT_EQ(imageOf(restored), image) << g.shortName();
+
+        // Both continue with the same victims, so the stamps came back.
+        Rng rng_copy = rng;
+        EXPECT_EQ(exercise(restored, rng_copy, 20000),
+                  exercise(array, rng, 20000))
+            << g.shortName();
+        EXPECT_EQ(imageOf(restored), imageOf(array)) << g.shortName();
+    }
 }
 
 } // namespace

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -312,9 +314,52 @@ class CheckpointCorruption : public ::testing::Test
         m.runWarmup();
         image_ = m.checkpointBytes();
         ASSERT_GT(image_.size(), 64u);
+        ckpt::Serializer dir;
+        m.memSys().directory().saveState(dir);
+        dirBytes_.assign(dir.bytes().begin() + ckpt::magicBytes + 4,
+                         dir.bytes().end());
+    }
+
+    /**
+     * The image with the directory's line addresses rewritten by
+     * `edit` and the enclosing section's CRC recomputed, so only the
+     * directory's own checks can catch the change.
+     */
+    std::vector<std::uint8_t>
+    withDirectoryLines(const std::function<void(std::vector<Addr> &)> &edit)
+    {
+        constexpr std::size_t kEntryBytes = 17; // line, state, sharers, owner
+        const auto found = std::search(image_.begin(), image_.end(),
+                                       dirBytes_.begin(), dirBytes_.end());
+        if (found == image_.end()) {
+            ADD_FAILURE() << "directory encoding not found in the image";
+            return image_;
+        }
+        const auto at = static_cast<std::size_t>(found - image_.begin());
+        const std::uint64_t count = readLe64(image_, at);
+        std::vector<Addr> lines;
+        for (std::uint64_t i = 0; i < count; ++i)
+            lines.push_back(readLe64(image_, at + 8 + i * kEntryBytes));
+        edit(lines);
+        std::vector<std::uint8_t> out = image_;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            for (std::size_t b = 0; b < 8; ++b)
+                out[at + 8 + i * kEntryBytes + b] =
+                    static_cast<std::uint8_t>(lines[i] >> (8 * b));
+        }
+        // Sections: tag (4) + length (8) + CRC (4) + payload.
+        std::size_t section = ckpt::magicBytes + 4;
+        while (section + 16 + readLe64(out, section + 4) <= at)
+            section += 16 + readLe64(out, section + 4);
+        const std::uint32_t crc =
+            ckpt::crc32(out.data() + section + 16, readLe64(out, section + 4));
+        for (std::size_t b = 0; b < 4; ++b)
+            out[section + 12 + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+        return out;
     }
 
     std::vector<std::uint8_t> image_;
+    std::vector<std::uint8_t> dirBytes_; //!< the directory's encoding
 };
 
 TEST_F(CheckpointCorruption, TruncatedFileFailsCleanly)
@@ -400,6 +445,35 @@ TEST_F(CheckpointCorruption, OutOfRangeNodeShiftFailsCleanly)
         EXPECT_THROW(Machine::fromCheckpointBytes(withNodeShift(shift)),
                      PanicError)
             << "nodeShift=" << shift;
+    }
+}
+
+TEST_F(CheckpointCorruption, DirectoryDuplicateLine)
+{
+    const ScopedPanicThrow guard;
+    // The unedited re-frame restores; a repeated line does not.
+    EXPECT_NO_THROW(Machine::fromCheckpointBytes(
+        withDirectoryLines([](std::vector<Addr> &) {})));
+    EXPECT_THROW(Machine::fromCheckpointBytes(
+                     withDirectoryLines([](std::vector<Addr> &lines) {
+                         ASSERT_GE(lines.size(), 2u);
+                         lines[1] = lines[0];
+                     })),
+                 PanicError);
+}
+
+TEST_F(CheckpointCorruption, DirectoryLineOutOfRange)
+{
+    const ScopedPanicThrow guard;
+    // One node: installed memory is one 2^nodeShift window.
+    const Addr limit = (Addr{1} << ckpt::peekConfig(image_).nodeShift) >> 6;
+    for (const Addr bad : {limit, ~Addr{0}}) {
+        EXPECT_THROW(Machine::fromCheckpointBytes(withDirectoryLines(
+                         [&](std::vector<Addr> &lines) {
+                             lines.back() = bad;
+                         })),
+                     PanicError)
+            << "line " << bad;
     }
 }
 
